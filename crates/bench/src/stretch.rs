@@ -16,8 +16,8 @@ use serde::{Deserialize, Serialize};
 
 use pr_baselines::FcpAgent;
 use pr_core::{
-    generous_ttl, walk_packet, walk_packet_spliced, walk_packet_with, MemoStats, PrNetwork,
-    SuffixMemo, WalkResult, WalkScratch,
+    generous_ttl, walk_packet, walk_packet_spliced, MemoStats, PrNetwork, SuffixMemo, WalkResult,
+    WalkScratch,
 };
 use pr_graph::{AllPairs, Graph, NodeId, RepairStats, SpScratch, SpTree, TreeChildren};
 use pr_scenarios::{ScenarioFamily, ScenarioIter};
@@ -128,10 +128,10 @@ struct StretchWorker<'a> {
     fcp_scratch: WalkScratch<pr_baselines::FcpState>,
     pr_scratch: WalkScratch<pr_core::PrHeader>,
     sp_scratch: SpScratch,
-    /// Delivered-suffix memos (FCP, PR), evicted at every unit
-    /// boundary and reused across units like `sp_scratch`. `None`
-    /// walks every source in full — the unmemoized reference path.
-    memos: Option<(SuffixMemo<pr_baselines::FcpState>, SuffixMemo<pr_core::PrHeader>)>,
+    /// Delivered-suffix memos, evicted at every unit boundary and
+    /// reused across units like `sp_scratch`.
+    fcp_memo: SuffixMemo<pr_baselines::FcpState>,
+    pr_memo: SuffixMemo<pr_core::PrHeader>,
     /// Affected-source buffer of the current unit, ascending node id.
     cone: Vec<NodeId>,
     /// DFS stack for the cone enumeration.
@@ -169,7 +169,7 @@ pub fn run_with_stats(
     family: &dyn ScenarioFamily,
     threads: usize,
 ) -> (StretchSamples, SweepStats) {
-    let parts = sweep_parts(graph, pr, family, threads, true);
+    let parts = sweep_parts(graph, pr, family, threads);
     let mut out = StretchSamples::default();
     let mut stats = SweepStats::default();
     for (part, part_stats) in parts {
@@ -182,15 +182,15 @@ pub fn run_with_stats(
 /// The engine-parallel sweep, returning one partial result per
 /// (scenario × destination) work unit in unit order. [`run_with_stats`]
 /// folds the units into one panel; [`run_rows`] folds them into
-/// per-scenario aggregates for sharded checkpointing. `memoized`
-/// toggles suffix splicing; both settings produce bit-identical
-/// samples (enforced by `tests/determinism.rs` and the memo proptest).
+/// per-scenario aggregates for sharded checkpointing. Walks splice
+/// memoized delivered suffixes; the samples are bit-identical to
+/// [`run_serial`]'s plain walks (enforced by `tests/determinism.rs`
+/// and the memo proptest).
 fn sweep_parts(
     graph: &Graph,
     pr: &PrNetwork,
     family: &dyn ScenarioFamily,
     threads: usize,
-    memoized: bool,
 ) -> Vec<(StretchSamples, SweepStats)> {
     let base = AllPairs::compute_all_live(graph);
     // Child index per destination tree, built once: lets every unit
@@ -208,7 +208,8 @@ fn sweep_parts(
             fcp_scratch: WalkScratch::new(),
             pr_scratch: WalkScratch::new(),
             sp_scratch: SpScratch::new(),
-            memos: memoized.then(|| (SuffixMemo::new(), SuffixMemo::new())),
+            fcp_memo: SuffixMemo::new(),
+            pr_memo: SuffixMemo::new(),
             cone: Vec::new(),
             stack: Vec::new(),
         },
@@ -216,7 +217,16 @@ fn sweep_parts(
         // subsets of the departing scenario's failures).
         |w, _| w.fcp.begin_scenario(),
         |w, unit| {
-            let StretchWorker { fcp, fcp_scratch, pr_scratch, sp_scratch, memos, cone, stack } = w;
+            let StretchWorker {
+                fcp,
+                fcp_scratch,
+                pr_scratch,
+                sp_scratch,
+                fcp_memo,
+                pr_memo,
+                cone,
+                stack,
+            } = w;
             let mut out = StretchSamples::default();
             // The affected sources, ascending — same set and order as
             // filtering `graph.nodes()` through `path_crosses`. An
@@ -240,65 +250,10 @@ fn sweep_parts(
             // agent's own tables (see `run_serial`) is per scenario
             // there; here it would recompute per unit, so it lives in
             // the serial reference only.
-            if let Some((fcp_memo, pr_memo)) = memos {
-                // Memoized path: suffixes are unit-scoped, so evict
-                // before the first walk of this (failed, dst) unit.
-                fcp_memo.begin_unit();
-                pr_memo.begin_unit();
-                for &src in cone.iter() {
-                    debug_assert_ne!(src, unit.dst, "tree root cannot be below a tree edge");
-                    let Some(reconv_cost) = sp_scratch.cone_cost(src) else {
-                        out.disconnected_pairs += 1;
-                        continue;
-                    };
-                    out.evaluated_pairs += 1;
-                    let optimal = unit.base_tree.cost(src).expect("connected");
-
-                    // Reconvergence: the survivor shortest path, by
-                    // definition — no need to walk it.
-                    out.reconvergence.push(reconv_cost as f64 / optimal as f64);
-
-                    // FCP: walk with incremental failure discovery.
-                    let w = walk_packet_spliced(
-                        graph,
-                        fcp,
-                        src,
-                        unit.dst,
-                        unit.failed,
-                        ttl,
-                        fcp_scratch,
-                        fcp_memo,
-                    );
-                    if w.result.is_delivered() {
-                        out.fcp.push(w.cost as f64 / optimal as f64);
-                    } else {
-                        out.drop_fcp();
-                    }
-
-                    // PR: cycle following.
-                    let w = walk_packet_spliced(
-                        graph,
-                        &pr_agent,
-                        src,
-                        unit.dst,
-                        unit.failed,
-                        ttl,
-                        pr_scratch,
-                        pr_memo,
-                    );
-                    match w.result {
-                        WalkResult::Delivered => {
-                            out.packet_recycling.push(w.cost as f64 / optimal as f64)
-                        }
-                        WalkResult::Dropped(_) => out.drop_pr(),
-                    }
-                }
-                let mut memo_stats = fcp_memo.take_stats();
-                memo_stats.merge(&pr_memo.take_stats());
-                return (out, SweepStats { repair: sp_scratch.take_stats(), memo: memo_stats });
-            }
-            // Plain path: identical walks without splicing — the
-            // reference the determinism tests compare against.
+            // Suffixes are unit-scoped, so evict before the first walk
+            // of this (failed, dst) unit.
+            fcp_memo.begin_unit();
+            pr_memo.begin_unit();
             for &src in cone.iter() {
                 debug_assert_ne!(src, unit.dst, "tree root cannot be below a tree edge");
                 let Some(reconv_cost) = sp_scratch.cone_cost(src) else {
@@ -308,25 +263,48 @@ fn sweep_parts(
                 out.evaluated_pairs += 1;
                 let optimal = unit.base_tree.cost(src).expect("connected");
 
+                // Reconvergence: the survivor shortest path, by
+                // definition — no need to walk it.
                 out.reconvergence.push(reconv_cost as f64 / optimal as f64);
 
-                match walk_packet_with(graph, fcp, src, unit.dst, unit.failed, ttl, fcp_scratch) {
-                    w if w.result.is_delivered() => {
-                        out.fcp.push(w.cost(graph) as f64 / optimal as f64)
-                    }
-                    _ => out.drop_fcp(),
+                // FCP: walk with incremental failure discovery.
+                let w = walk_packet_spliced(
+                    graph,
+                    fcp,
+                    src,
+                    unit.dst,
+                    unit.failed,
+                    ttl,
+                    fcp_scratch,
+                    fcp_memo,
+                );
+                if w.result.is_delivered() {
+                    out.fcp.push(w.cost as f64 / optimal as f64);
+                } else {
+                    out.drop_fcp();
                 }
 
-                let w =
-                    walk_packet_with(graph, &pr_agent, src, unit.dst, unit.failed, ttl, pr_scratch);
+                // PR: cycle following.
+                let w = walk_packet_spliced(
+                    graph,
+                    &pr_agent,
+                    src,
+                    unit.dst,
+                    unit.failed,
+                    ttl,
+                    pr_scratch,
+                    pr_memo,
+                );
                 match w.result {
                     WalkResult::Delivered => {
-                        out.packet_recycling.push(w.cost(graph) as f64 / optimal as f64)
+                        out.packet_recycling.push(w.cost as f64 / optimal as f64)
                     }
                     WalkResult::Dropped(_) => out.drop_pr(),
                 }
             }
-            (out, SweepStats { repair: sp_scratch.take_stats(), memo: MemoStats::default() })
+            let mut memo_stats = fcp_memo.take_stats();
+            memo_stats.merge(&pr_memo.take_stats());
+            (out, SweepStats { repair: sp_scratch.take_stats(), memo: memo_stats })
         },
     )
 }
@@ -413,34 +391,9 @@ pub fn run_rows(
     threads: usize,
     first_scenario: usize,
 ) -> Vec<ScenarioRow> {
-    run_rows_memoized(graph, pr, family, threads, first_scenario, true)
-}
-
-/// [`run_rows`] with suffix memoization disabled: every source is
-/// walked in full. This is the reference the determinism tests (and
-/// the recorded isp-1000 before/after numbers) compare the memoized
-/// sweep against — the rows must be bit-identical.
-pub fn run_rows_plain(
-    graph: &Graph,
-    pr: &PrNetwork,
-    family: &dyn ScenarioFamily,
-    threads: usize,
-    first_scenario: usize,
-) -> Vec<ScenarioRow> {
-    run_rows_memoized(graph, pr, family, threads, first_scenario, false)
-}
-
-fn run_rows_memoized(
-    graph: &Graph,
-    pr: &PrNetwork,
-    family: &dyn ScenarioFamily,
-    threads: usize,
-    first_scenario: usize,
-    memoized: bool,
-) -> Vec<ScenarioRow> {
     let n = graph.node_count().max(1);
     let xs = figure2_xs();
-    let parts = sweep_parts(graph, pr, family, threads, memoized);
+    let parts = sweep_parts(graph, pr, family, threads);
     let mut rows = Vec::with_capacity(family.len());
     let mut acc = StretchSamples::default();
     for (idx, (part, _stats)) in parts.into_iter().enumerate() {
@@ -809,8 +762,8 @@ mod tests {
         assert_eq!(report.undelivered, samples.undelivered as u64);
         assert_eq!(report.undelivered_fcp + report.undelivered_pr, report.undelivered);
 
-        // The unmemoized reference path folds to bit-identical rows.
-        assert_eq!(run_rows_plain(&g, &pr, &family, 2, 0), rows);
+        // The serial per-packet oracle renders the identical panel.
+        assert_eq!(panel_csv_from_rows(&rows, &xs), panel_csv(&run_serial(&g, &pr, &family), &xs));
         let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
         assert!((report.mean[2] - mean(&samples.packet_recycling)).abs() < 1e-12);
 

@@ -11,19 +11,17 @@
 //! bottom-up subtree demand aggregation, per-flow fallback only for
 //! affected-but-connected sources) and reports a demand-weighted
 //! [`ScenarioTraffic`]. Units merge in scenario order, so [`run`] is
-//! bit-identical to [`run_batched`] and [`run_serial`] at any thread
-//! count (enforced by `tests/determinism.rs` — the demand grid makes
-//! every replay sum exact, hence association-free).
+//! bit-identical to [`run_serial`] at any thread count (enforced by
+//! `tests/determinism.rs` — the demand grid makes every replay sum
+//! exact, hence association-free).
 
 use serde::Serialize;
 
-use pr_core::{generous_ttl, DenseFib, Fib, PrNetwork};
+use pr_core::{generous_ttl, DenseFib, PrNetwork};
 use pr_graph::{AllPairs, Graph};
 use pr_scenarios::{ScenarioFamily, ScenarioIter};
 use pr_sim::DemandTally;
-use pr_traffic::{
-    replay_scenario, replay_scenario_bitparallel, replay_scenario_naive, FlowSet, ReplayScratch,
-};
+use pr_traffic::{replay_scenario_bitparallel, replay_scenario_naive, FlowSet, ReplayScratch};
 
 use crate::engine::run_units;
 
@@ -82,8 +80,8 @@ pub fn summarize(rows: &[TrafficRow]) -> TrafficSummary {
 
 /// Replays `flows` through every scenario of `family` on `threads`
 /// workers using the bit-parallel dataplane. Failure-invariant state
-/// — the base trees, the flat FIB, the staged dense FIB, the compiled
-/// PR agent, the TTL — is hoisted once; each worker owns a private
+/// — the base trees, the staged dense FIB, the compiled PR agent, the
+/// TTL — is hoisted once; each worker owns a private
 /// [`ReplayScratch`] reused across its scenarios.
 pub fn run(
     graph: &Graph,
@@ -111,38 +109,10 @@ pub fn run(
     )
 }
 
-/// The per-flow batched dataplane (PR 5's fast path, kept as the
-/// middle rung of the throughput ladder): every flow walks the flat
-/// FIB individually, survivor trees rebuilt by incremental repair.
-/// Bit-identical to [`run`] and [`run_serial`].
-pub fn run_batched(
-    graph: &Graph,
-    pr: &PrNetwork,
-    family: &dyn ScenarioFamily,
-    flows: &FlowSet,
-    threads: usize,
-) -> Vec<TrafficRow> {
-    let base = AllPairs::compute_all_live(graph);
-    let fib = Fib::from_base(graph, &base);
-    let agent = pr.agent(graph);
-    let ttl = generous_ttl(graph);
-
-    run_units(
-        family.len(),
-        threads,
-        ReplayScratch::new,
-        |scratch: &mut ReplayScratch<pr_core::PrHeader>, scenario| {
-            let failed = family.scenario(scenario);
-            let traffic = replay_scenario(graph, &agent, &fib, &base, flows, &failed, ttl, scratch);
-            TrafficRow { scenario, failures: failed.len(), traffic }
-        },
-    )
-}
-
 /// The serial per-packet reference: every flow walked one packet at a
 /// time with fresh scratch state, no FIB, no repair ([`run`] must be
 /// bit-identical to this at every thread count; the throughput
-/// benchmark measures the batched dataplane against it).
+/// benchmark measures the bit-parallel dataplane against it).
 pub fn run_serial(
     graph: &Graph,
     pr: &PrNetwork,

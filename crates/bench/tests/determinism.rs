@@ -105,32 +105,63 @@ fn teleglobe_stretch_parallel_equals_serial() {
     }
 }
 
-/// The PR 8 acceptance criterion in miniature: per-scenario aggregates
-/// from the suffix-**memoized** walk engine (`run_rows`, what `pr
-/// sweep` ships) must be bit-identical to the unmemoized path
-/// (`run_rows_plain`) at 1/2/4 threads. The isp-1000 exhaustive sweep
-/// this gates is too slow for tier-1, so a 120-node instance of the
-/// same synthetic ISP family stands in; the equivalence argument
-/// (DESIGN.md §14) is size-independent.
-#[test]
-fn synth_mesh_memoized_rows_equal_plain_rows() {
-    let g = pr_graph::generators::isp_mesh(&pr_graph::generators::MeshParams::new(120, 2010));
-    let rot = pr_embedding::RotationSystem::geometric(&g).expect("mesh has coordinates");
+use pr_bench::stretch::{
+    ccdf, figure2_xs, panel_csv, panel_csv_from_rows, report_from_rows, Scheme,
+};
+
+/// Compiles PR-DD on a seeded synthetic ISP mesh over its geometric
+/// (planar) rotation.
+fn synth_mesh_net(nodes: usize) -> (Graph, PrNetwork) {
+    let g = pr_graph::generators::isp_mesh(&pr_graph::generators::MeshParams::new(nodes, 2010));
+    let rot = RotationSystem::geometric(&g).expect("mesh has coordinates");
     let emb = CellularEmbedding::new(&g, rot).expect("connected topology");
     let pr = PrNetwork::compile(&g, emb, PrMode::DistanceDiscriminator, DiscriminatorKind::Hops);
+    (g, pr)
+}
+
+/// Per-scenario aggregates from the suffix-memoized walk engine
+/// (`run_rows`, what `pr sweep` ships) are thread-count invariant on a
+/// 120-node instance of the synthetic ISP family, and on a 40-node
+/// instance the artefacts folded from them equal the serial
+/// per-packet oracle's (`run_serial` walks every pair in full, no
+/// memo, no cone repair; it is too slow for tier-1 at 120 nodes in a
+/// debug build). The equivalence argument (DESIGN.md §14) is
+/// size-independent.
+#[test]
+fn synth_mesh_memoized_rows_equal_plain_rows() {
+    let (g, pr) = synth_mesh_net(120);
     let singles = SingleLinkFailures::new(&g);
-    let reference = pr_bench::stretch::run_rows_plain(&g, &pr, &singles, 1, 0);
+    let reference = pr_bench::stretch::run_rows(&g, &pr, &singles, 1, 0);
     for threads in THREAD_COUNTS {
-        let memoized = pr_bench::stretch::run_rows(&g, &pr, &singles, threads, 0);
-        assert_eq!(
-            memoized, reference,
-            "memoized ScenarioRows diverged from the plain walker at {threads} threads"
-        );
-        let plain = pr_bench::stretch::run_rows_plain(&g, &pr, &singles, threads, 0);
-        assert_eq!(
-            plain, reference,
-            "plain ScenarioRows diverged across thread counts at {threads} threads"
-        );
+        let rows = pr_bench::stretch::run_rows(&g, &pr, &singles, threads, 0);
+        assert_eq!(rows, reference, "ScenarioRows diverged at {threads} threads");
+    }
+
+    let (g, pr) = synth_mesh_net(40);
+    let singles = SingleLinkFailures::new(&g);
+    let xs = figure2_xs();
+    let rows = pr_bench::stretch::run_rows(&g, &pr, &singles, 2, 0);
+    let serial = pr_bench::stretch::run_serial(&g, &pr, &singles);
+    assert!(serial.evaluated_pairs > 0);
+    assert_eq!(panel_csv_from_rows(&rows, &xs), panel_csv(&serial, &xs));
+
+    let report = report_from_rows(&rows, &xs);
+    assert_eq!(report.scenarios, singles.len() as u64);
+    assert_eq!(report.evaluated_pairs, serial.evaluated_pairs as u64);
+    assert_eq!(report.disconnected_pairs, serial.disconnected_pairs as u64);
+    assert_eq!(report.undelivered, serial.undelivered as u64);
+    assert_eq!(report.undelivered_fcp, serial.undelivered_fcp as u64);
+    assert_eq!(report.undelivered_pr, serial.undelivered_pr as u64);
+    for (s, scheme) in Scheme::ALL.into_iter().enumerate() {
+        let v = serial.of(scheme);
+        assert_eq!(report.samples[s], v.len() as u64, "{scheme:?}");
+        assert_eq!(report.max[s], v.iter().copied().fold(0.0, f64::max), "{scheme:?}");
+        let curve: Vec<f64> = ccdf(v, &xs).into_iter().map(|(_, p)| p).collect();
+        assert_eq!(report.ccdf[s], curve, "{scheme:?}");
+        // Rows sum per scenario before summing across scenarios, so
+        // the mean may differ from the flat sum in the last ulps.
+        let mean = v.iter().sum::<f64>() / v.len() as f64;
+        assert!((report.mean[s] - mean).abs() <= 1e-12 * mean, "{scheme:?}");
     }
 }
 
@@ -207,10 +238,9 @@ fn traffic_is_deterministic_on(
 ) {
     // The serial reference replays every flow one packet at a time
     // (fresh scratch, no FIB, no SPT repair); the bit-parallel engine
-    // run AND the per-flow batched run must both match it bit for bit
-    // — f64 demand sums included (the demand grid makes them exact,
-    // hence independent of how each dataplane groups additions) — at
-    // any thread count.
+    // run must match it bit for bit — f64 demand sums included (the
+    // demand grid makes them exact, hence independent of how the
+    // dataplane groups additions) — at any thread count.
     let reference = pr_bench::traffic::run_serial(graph, pr, family, flows);
     assert_eq!(reference.len(), family.len());
     for threads in THREAD_COUNTS {
@@ -219,14 +249,6 @@ fn traffic_is_deterministic_on(
             rows,
             reference,
             "bit-parallel rows diverged from serial at {threads} threads ({}, {})",
-            family.label(),
-            flows.label()
-        );
-        let batched = pr_bench::traffic::run_batched(graph, pr, family, flows, threads);
-        assert_eq!(
-            batched,
-            reference,
-            "batched rows diverged from serial at {threads} threads ({}, {})",
             family.label(),
             flows.label()
         );

@@ -1,8 +1,8 @@
 //! Opt-in acceptance timing for the suffix-memoized walk engine: the
 //! seeded 1000-node ISP mesh, exhaustive single-link failures, swept
-//! single-threaded both ways (memoized `run_rows` vs unmemoized
-//! `run_rows_plain`), with the rows asserted bit-identical. The
-//! recorded numbers live in `BENCH_pr8.json`.
+//! single-threaded through `run_rows`. The recorded numbers live in
+//! `BENCH_pr8.json`; bit-identity with the per-packet oracle is
+//! enforced at smaller sizes by `tests/determinism.rs`.
 //!
 //! Ignored by default — this is a ~1-minute run, far too slow for
 //! tier-1. Reproduce with:
@@ -20,7 +20,7 @@ use pr_scenarios::SingleLinkFailures;
 
 #[test]
 #[ignore = "manual acceptance timing (~1 min); run --release --ignored --nocapture"]
-fn isp1000_exhaustive_singles_memoized_vs_plain() {
+fn isp1000_exhaustive_singles_timing() {
     let g = generators::isp_mesh(&MeshParams::new(1000, 2010));
     let rot = RotationSystem::geometric(&g).expect("mesh has coordinates");
     let emb = CellularEmbedding::new(&g, rot).expect("connected");
@@ -31,15 +31,8 @@ fn isp1000_exhaustive_singles_memoized_vs_plain() {
     let memoized = pr_bench::stretch::run_rows(&g, &pr, &singles, 1, 0);
     let memo_secs = t.elapsed().as_secs_f64();
 
-    let t = Instant::now();
-    let plain = pr_bench::stretch::run_rows_plain(&g, &pr, &singles, 1, 0);
-    let plain_secs = t.elapsed().as_secs_f64();
-
-    assert_eq!(memoized, plain, "memoized rows must be bit-identical to the plain walker's");
     println!(
-        "isp-1000 exhaustive singles, 1 thread: memoized {memo_secs:.1}s, \
-         plain {plain_secs:.1}s, speedup {:.2}x ({} scenarios)",
-        plain_secs / memo_secs,
+        "isp-1000 exhaustive singles, 1 thread: memoized {memo_secs:.1}s ({} scenarios)",
         memoized.len(),
     );
     assert!(

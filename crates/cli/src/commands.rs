@@ -851,7 +851,7 @@ fn build_flow_set(
 /// The traffic-weighted front door: builds a demand matrix, compiles a
 /// flow set (the whole matrix, or `--flows N` sampled proportionally
 /// to demand), and replays it through every scenario of a topological
-/// failure family on the batched dataplane — reporting weighted
+/// failure family on the bit-parallel dataplane — reporting weighted
 /// coverage, % demand lost, and max-link-utilisation under failure.
 pub fn traffic(args: &Args) -> CmdResult {
     args.reject_unknown(&[

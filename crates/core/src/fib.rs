@@ -1,26 +1,24 @@
-//! Flat forwarding-information base (FIB) and the batched flow walker.
+//! Dense forwarding-information base (FIB) staging for the
+//! bit-parallel traffic dataplane.
 //!
-//! Sweeps walk *single packets*; traffic replay walks *batches of
-//! flows*. The per-packet costs that are negligible for one walk —
-//! resetting the livelock detector, initialising header state,
-//! hashing `(router, ingress, state)` at every hop — dominate when a
-//! scenario replays thousands of flows, most of which never meet a
-//! failed link at all. This module removes them from the common case:
+//! Sweeps walk *single packets*; traffic replay classifies *whole
+//! destination groups of flows*. The per-packet costs that are
+//! negligible for one walk — resetting the livelock detector,
+//! initialising header state, hashing `(router, ingress, state)` at
+//! every hop — dominate when a scenario replays thousands of flows,
+//! most of which never meet a failed link at all. This module removes
+//! them from the common case:
 //!
-//! * [`Fib`] — every agent's failure-free routing table, compiled into
-//!   one flat destination-major array of next darts. One cache-friendly
-//!   lookup per hop, no per-hop branching on scheme internals.
-//! * [`Fib::scan`] — classifies a flow against a failure set by
-//!   following the FIB: either the shortest path is *clear* (cost and
-//!   hop count fall out of the scan) or it is *blocked* at the first
-//!   failed link.
-//! * [`walk_flow_with`] — the batch entry point: flows whose FIB path
-//!   is clear are delivered without ever consulting the agent; only
-//!   blocked flows fall back to the full [`walk_packet_with`] machinery
-//!   (and only after the survivor tree confirms the pair is still
-//!   connected).
+//! * [`DenseFib`] — every destination's failure-free shortest-path
+//!   tree, staged as one flat run of [`FibFrame`]s in canonical tree
+//!   order, so a single forward pass classifies every source against a
+//!   failure set and a single backward pass aggregates clear demand
+//!   per subtree.
+//! * [`BitScratch`] — the reusable u64 word bitsets and staging arrays
+//!   those passes run on.
 //!
-//! The fast path is sound for every scheme in this workspace because
+//! Skipping the agent for *clear* flows (whose shortest path meets no
+//! failed link) is sound for every scheme in this workspace because
 //! all of them are **shortest-path confluent**: in the absence of
 //! failures on the canonical shortest path, their decisions follow the
 //! failure-free routing table exactly (PR forwards along the routing
@@ -30,128 +28,7 @@
 //! base path survives). The determinism suite asserts the equivalence
 //! end to end against per-flow `walk_packet` references.
 
-use pr_graph::{AllPairs, Dart, Graph, LinkSet, NodeId, SpTree};
-
-use crate::{
-    walk_packet_with, DropReason, ForwardingAgent, RoutingTables, WalkResult, WalkScratch,
-};
-
-/// A flat, destination-major forwarding table: `next[dest * n + node]`
-/// is the dart `node` uses towards `dest` on the failure-free
-/// topology (`None` exactly when `node == dest`).
-///
-/// Compiled once per topology and shared read-only by every replay
-/// worker; the batched walker's fast path is a chain of these lookups.
-#[derive(Debug, Clone)]
-pub struct Fib {
-    next: Vec<Option<Dart>>,
-    nodes: usize,
-}
-
-/// Outcome of scanning one flow's FIB path against a failure set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FibScan {
-    /// The shortest path meets no failed link; the flow is unaffected.
-    Clear {
-        /// Weighted cost of the (failure-free shortest) path.
-        cost: u64,
-        /// Hop count of the path.
-        hops: u32,
-    },
-    /// The shortest path crosses at least one failed link.
-    Blocked,
-}
-
-impl Fib {
-    /// Compiles the FIB from routing tables (the production source: the
-    /// same structure routers hold).
-    pub fn compile(graph: &Graph, routing: &RoutingTables) -> Fib {
-        let n = graph.node_count();
-        let mut next = vec![None; n * n];
-        for dest in graph.nodes() {
-            for node in graph.nodes() {
-                next[dest.index() * n + node.index()] = routing.next_dart(node, dest);
-            }
-        }
-        Fib { next, nodes: n }
-    }
-
-    /// Compiles the FIB directly from hoisted failure-free shortest
-    /// path trees — bit-identical to [`Fib::compile`] over
-    /// [`RoutingTables::compile`] of the same trees, without building
-    /// the intermediate tables.
-    pub fn from_base(graph: &Graph, base: &AllPairs) -> Fib {
-        let n = graph.node_count();
-        let mut next = vec![None; n * n];
-        for dest in graph.nodes() {
-            let tree = base.towards(dest);
-            for node in graph.nodes() {
-                next[dest.index() * n + node.index()] = tree.next_dart(node);
-            }
-        }
-        Fib { next, nodes: n }
-    }
-
-    /// Next dart from `node` towards `dest` (`None` when
-    /// `node == dest`).
-    #[inline]
-    pub fn next_dart(&self, node: NodeId, dest: NodeId) -> Option<Dart> {
-        self.next[dest.index() * self.nodes + node.index()]
-    }
-
-    /// Number of nodes (= destinations) the FIB covers.
-    pub fn node_count(&self) -> usize {
-        self.nodes
-    }
-
-    /// The one next-dart chase loop: follows the FIB from `src`,
-    /// invoking `on_dart` for each dart taken, until the destination
-    /// ([`FibScan::Clear`]) or the first failed link
-    /// ([`FibScan::Blocked`] — darts already emitted for the blocked
-    /// prefix are the caller's to discard). [`Fib::scan`] and the
-    /// batch walker's fast path are both this loop.
-    #[inline]
-    fn chase(
-        &self,
-        graph: &Graph,
-        src: NodeId,
-        dest: NodeId,
-        failed: &LinkSet,
-        mut on_dart: impl FnMut(Dart),
-    ) -> FibScan {
-        let mut at = src;
-        let mut cost = 0u64;
-        let mut hops = 0u32;
-        while at != dest {
-            let d = self.next_dart(at, dest).expect("FIB is total on connected base graphs");
-            if failed.contains_dart(d) {
-                return FibScan::Blocked;
-            }
-            on_dart(d);
-            cost += u64::from(graph.weight(d.link()));
-            hops += 1;
-            at = graph.dart_head(d);
-        }
-        FibScan::Clear { cost, hops }
-    }
-
-    /// Follows the FIB from `src` towards `dest`, classifying the flow:
-    /// [`FibScan::Clear`] with the path's cost and hop count, or
-    /// [`FibScan::Blocked`] at the first failed link.
-    ///
-    /// FIB paths are branches of a shortest-path tree, so the scan
-    /// terminates in at most `n - 1` lookups and needs no loop
-    /// detection.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the FIB has no route (disconnected base graph — the
-    /// same precondition [`RoutingTables::compile`] enforces).
-    #[inline]
-    pub fn scan(&self, graph: &Graph, src: NodeId, dest: NodeId, failed: &LinkSet) -> FibScan {
-        self.chase(graph, src, dest, failed, |_| {})
-    }
-}
+use pr_graph::{AllPairs, Graph, LinkSet, NodeId};
 
 /// One staged hop of a destination tree: a node, its tree parent, and
 /// the dart/link between them — everything the bit-parallel
@@ -172,19 +49,21 @@ pub struct FibFrame {
 
 /// Dense per-destination FIB staging for the bit-parallel dataplane.
 ///
-/// Where [`Fib`] answers *"what is `node`'s next dart towards
+/// Rather than answering *"what is `node`'s next dart towards
 /// `dest`?"* one lookup at a time, `DenseFib` stages each
 /// destination's whole tree as a flat run of [`FibFrame`]s in
 /// **canonical tree order** (increasing `(dist, node id)` — the
 /// Dijkstra finalisation order, so every parent appears before its
-/// children; see [`SpTree::canonical_order_into`]). One forward pass
-/// over the run classifies every source against a failure set
-/// ([`DenseFib::affected_into`]); one backward pass sums per-subtree
-/// demand and credits each tree dart its subtree's load — the O(n)
-/// destination-major passes that replace per-flow next-dart chases.
+/// children; see
+/// [`SpTree::canonical_order_into`](pr_graph::SpTree::canonical_order_into)).
+/// One forward pass over the run classifies every source against a
+/// failure set ([`DenseFib::affected_into`]); one backward pass sums
+/// per-subtree demand and credits each tree dart its subtree's load —
+/// the O(n) destination-major passes that replace per-flow next-dart
+/// chases.
 ///
 /// Compiled once per topology from the hoisted base trees and shared
-/// read-only by every replay worker, exactly like [`Fib`].
+/// read-only by every replay worker.
 #[derive(Debug, Clone)]
 pub struct DenseFib {
     /// All destinations' frames, destination-major; within one
@@ -197,9 +76,9 @@ pub struct DenseFib {
 }
 
 impl DenseFib {
-    /// Stages every destination tree of `base`. Pair with the
-    /// [`Fib::from_base`] of the same trees: the frames are the same
-    /// next darts, reordered for the destination-major passes.
+    /// Stages every destination tree of `base`: each frame holds a
+    /// node's next dart in its destination's tree, reordered for the
+    /// destination-major passes.
     pub fn from_base(graph: &Graph, base: &AllPairs) -> DenseFib {
         let n = graph.node_count();
         let mut frames = Vec::with_capacity(n.saturating_sub(1) * n);
@@ -258,7 +137,7 @@ impl DenseFib {
 }
 
 /// Reusable node-indexed buffers of the bit-parallel replay pipeline:
-/// three u64 word bitsets (64 sources per word — the
+/// two u64 word bitsets (64 sources per word — the
 /// [`pr_graph::bits`] helpers drive them) and two dense f64 staging
 /// arrays. Embedded in `pr-traffic`'s `ReplayScratch`; everything is
 /// cleared/resized in place, so the steady state allocates nothing
@@ -268,9 +147,6 @@ pub struct BitScratch {
     /// Sources whose base path crosses a failed link
     /// ([`DenseFib::affected_into`]).
     pub affected: Vec<u64>,
-    /// Sources that still reach the destination in the survivor tree
-    /// ([`SpTree::reach_words_into`](pr_graph::SpTree::reach_words_into)).
-    pub reach: Vec<u64>,
     /// Sources that carry demand in the current destination group.
     pub present: Vec<u64>,
     /// Per-source demand of the current destination group; valid only
@@ -307,208 +183,27 @@ impl BitScratch {
     }
 }
 
-/// Outcome of one flow under the batched walker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlowWalk {
-    /// Delivered along the failure-free shortest path (FIB fast path;
-    /// the agent was never consulted).
-    Clear {
-        /// Weighted cost of the delivered path.
-        cost: u64,
-        /// Hop count of the delivered path.
-        hops: u32,
-    },
-    /// The FIB path was blocked and the agent delivered over a detour.
-    Recovered {
-        /// Weighted cost of the delivered path.
-        cost: u64,
-        /// Hop count of the delivered path.
-        hops: u32,
-    },
-    /// The FIB path was blocked and the survivor tree shows the pair
-    /// disconnected: no scheme can deliver (the agent is not walked).
-    Disconnected,
-    /// The FIB path was blocked, the pair is still connected, and the
-    /// agent's walk nevertheless ended in a drop.
-    Dropped(DropReason),
-}
-
-impl FlowWalk {
-    /// `true` if the flow reached its destination.
-    pub fn is_delivered(&self) -> bool {
-        matches!(self, FlowWalk::Clear { .. } | FlowWalk::Recovered { .. })
-    }
-
-    /// Delivered-path cost, if delivered.
-    pub fn cost(&self) -> Option<u64> {
-        match *self {
-            FlowWalk::Clear { cost, .. } | FlowWalk::Recovered { cost, .. } => Some(cost),
-            _ => None,
-        }
-    }
-}
-
-/// Reusable per-worker state of the batch walker: the livelock
-/// detector for recovery walks plus the dart buffer the fast path
-/// stages a candidate FIB path in (committed to the caller's `on_dart`
-/// hook only once the scan proves the path clear — so the dominant
-/// clear case chases the next-dart chain exactly once).
-#[derive(Debug)]
-pub struct FlowScratch<S> {
-    walk: WalkScratch<S>,
-    path: Vec<Dart>,
-}
-
-impl<S> FlowScratch<S> {
-    /// Fresh scratch state; buffers grow to the topology on first use.
-    pub fn new() -> FlowScratch<S> {
-        FlowScratch { walk: WalkScratch::new(), path: Vec::new() }
-    }
-}
-
-impl<S> Default for FlowScratch<S> {
-    fn default() -> Self {
-        FlowScratch::new()
-    }
-}
-
-/// The batch walker entry point: walks one flow of a batch, taking the
-/// FIB fast path when the flow's shortest path is clear and falling
-/// back to the full agent walker only for blocked-but-connected flows.
-///
-/// `live` is the survivor shortest-path tree towards `dest` (rebuilt
-/// per scenario via incremental repair); it gates the agent fallback so
-/// disconnected flows never consume a (futile) full walk. `on_dart`
-/// fires for every dart of a *delivered* path, in order — the per-link
-/// load accounting hook; dropped and disconnected flows emit nothing.
-///
-/// Batching is the calling convention: the caller holds `scratch` (and
-/// the repaired `live` tree) across a whole destination group, so the
-/// steady state allocates nothing per flow and touches the livelock
-/// detector only on recovery paths.
-#[allow(clippy::too_many_arguments)]
-pub fn walk_flow_with<A: ForwardingAgent>(
-    graph: &Graph,
-    agent: &A,
-    fib: &Fib,
-    src: NodeId,
-    dest: NodeId,
-    failed: &LinkSet,
-    live: &SpTree,
-    ttl: usize,
-    scratch: &mut FlowScratch<A::State>,
-    mut on_dart: impl FnMut(Dart),
-) -> FlowWalk
-where
-    A::State: std::hash::Hash + Eq,
-{
-    // Fast path: one chase of the next-dart chain, staging darts in
-    // the scratch buffer so they are emitted only if the whole path
-    // proves clear (a partially emitted blocked path would corrupt the
-    // caller's load accounting).
-    scratch.path.clear();
-    let path = &mut scratch.path;
-    if let FibScan::Clear { cost, hops } = fib.chase(graph, src, dest, failed, |d| path.push(d)) {
-        for &d in &*path {
-            on_dart(d);
-        }
-        return FlowWalk::Clear { cost, hops };
-    }
-
-    if !live.reaches(src) {
-        return FlowWalk::Disconnected;
-    }
-    let walk = walk_packet_with(graph, agent, src, dest, failed, ttl, &mut scratch.walk);
-    match walk.result {
-        WalkResult::Delivered => {
-            for &d in walk.path.darts() {
-                on_dart(d);
-            }
-            FlowWalk::Recovered { cost: walk.cost(graph), hops: walk.path.hop_count() as u32 }
-        }
-        WalkResult::Dropped(reason) => FlowWalk::Dropped(reason),
-    }
-}
-
-/// The fallback arm of [`walk_flow_with`] on its own: walks a flow
-/// already known to be **blocked but connected** straight through the
-/// full agent, skipping the FIB chase and the survivor gate.
-///
-/// The bit-parallel dataplane classifies whole destination groups
-/// with word-parallel set algebra first (affected set over the staged
-/// [`DenseFib`], survivor components per scenario) and only then
-/// walks the few affected-but-connected flows — through this entry
-/// point, so the walk (and therefore the recorded cost, hops and
-/// emitted darts) is the identical code path [`walk_flow_with`] takes
-/// after its gate. Never returns [`FlowWalk::Clear`] or
-/// [`FlowWalk::Disconnected`]; calling it on a flow that is not
-/// actually blocked-but-connected misclassifies it.
-#[allow(clippy::too_many_arguments)]
-pub fn recover_flow_with<A: ForwardingAgent>(
-    graph: &Graph,
-    agent: &A,
-    src: NodeId,
-    dest: NodeId,
-    failed: &LinkSet,
-    ttl: usize,
-    scratch: &mut FlowScratch<A::State>,
-    mut on_dart: impl FnMut(Dart),
-) -> FlowWalk
-where
-    A::State: std::hash::Hash + Eq,
-{
-    let walk = walk_packet_with(graph, agent, src, dest, failed, ttl, &mut scratch.walk);
-    match walk.result {
-        WalkResult::Delivered => {
-            for &d in walk.path.darts() {
-                on_dart(d);
-            }
-            FlowWalk::Recovered { cost: walk.cost(graph), hops: walk.path.hop_count() as u32 }
-        }
-        WalkResult::Dropped(reason) => FlowWalk::Dropped(reason),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{generous_ttl, DiscriminatorKind, PrMode, PrNetwork};
-    use pr_embedding::{CellularEmbedding, RotationSystem};
-    use pr_graph::generators;
+    use pr_graph::{generators, Dart};
 
-    fn ring_setup() -> (Graph, PrNetwork, AllPairs, Fib) {
+    fn ring_setup() -> (Graph, AllPairs) {
         let g = generators::ring(6, 1);
-        let emb = CellularEmbedding::new(&g, RotationSystem::identity(&g)).unwrap();
-        let net =
-            PrNetwork::compile(&g, emb, PrMode::DistanceDiscriminator, DiscriminatorKind::Hops);
         let base = AllPairs::compute_all_live(&g);
-        let fib = Fib::from_base(&g, &base);
-        (g, net, base, fib)
-    }
-
-    #[test]
-    fn compile_and_from_base_agree() {
-        let (g, net, base, fib) = ring_setup();
-        let from_tables = Fib::compile(&g, net.routing());
-        for dest in g.nodes() {
-            for node in g.nodes() {
-                assert_eq!(fib.next_dart(node, dest), from_tables.next_dart(node, dest));
-                assert_eq!(fib.next_dart(node, dest), base.towards(dest).next_dart(node));
-            }
-        }
-        assert_eq!(fib.node_count(), g.node_count());
+        (g, base)
     }
 
     #[test]
     fn dense_fib_frames_stage_every_tree_in_canonical_order() {
-        let (g, _, base, fib) = ring_setup();
+        let (g, base) = ring_setup();
         let dense = DenseFib::from_base(&g, &base);
         assert_eq!(dense.node_count(), g.node_count());
         for dest in g.nodes() {
             let tree = base.towards(dest);
             let frames = dense.frames(dest);
             // Every reachable non-destination node appears exactly once,
-            // with the FIB's next dart, parents staged before children.
+            // with its tree's next dart, parents staged before children.
             assert_eq!(frames.len(), g.node_count() - 1);
             let mut seen = vec![false; g.node_count()];
             seen[dest.index()] = true;
@@ -517,7 +212,7 @@ mod tests {
                 assert!(!seen[u.index()], "node staged twice");
                 seen[u.index()] = true;
                 assert!(seen[f.parent as usize], "parent must be staged before its children");
-                assert_eq!(Some(Dart(f.dart)), fib.next_dart(u, dest));
+                assert_eq!(Some(Dart(f.dart)), tree.next_dart(u));
                 assert_eq!(Dart(f.dart).link(), pr_graph::LinkId(f.link));
                 assert_eq!(g.dart_head(Dart(f.dart)), NodeId(f.parent));
                 assert!(tree.cost(u) > tree.cost(NodeId(f.parent)), "tree order sorts by dist");
@@ -528,7 +223,7 @@ mod tests {
 
     #[test]
     fn affected_set_matches_path_crosses_per_source() {
-        let (g, _, base, _) = ring_setup();
+        let (g, base) = ring_setup();
         let dense = DenseFib::from_base(&g, &base);
         let mut affected = Vec::new();
         for link in g.links() {
@@ -561,172 +256,5 @@ mod tests {
         // A fresh group forgets the previous membership.
         bits.begin_group(70);
         assert_eq!(pr_graph::bits::count(&bits.present), 0);
-    }
-
-    #[test]
-    fn scan_matches_base_tree_classification() {
-        let (g, _, base, fib) = ring_setup();
-        for link in g.links() {
-            let failed = LinkSet::from_links(g.link_count(), [link]);
-            for dest in g.nodes() {
-                let tree = base.towards(dest);
-                for src in g.nodes() {
-                    if src == dest {
-                        continue;
-                    }
-                    let crosses = tree.path_crosses(&g, src, &failed);
-                    match fib.scan(&g, src, dest, &failed) {
-                        FibScan::Clear { cost, hops } => {
-                            assert!(!crosses);
-                            assert_eq!(Some(cost), tree.cost(src));
-                            assert_eq!(Some(hops), tree.hops(src));
-                        }
-                        FibScan::Blocked => assert!(crosses, "{link} {src}->{dest}"),
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn clear_flows_never_consult_the_agent() {
-        // An agent that panics on every decision: clear flows must
-        // still deliver (the fast path bypasses it entirely).
-        struct Panicking;
-        impl ForwardingAgent for Panicking {
-            type State = ();
-            fn label(&self) -> &'static str {
-                "panicking"
-            }
-            fn decide(
-                &self,
-                _: NodeId,
-                _: Option<Dart>,
-                _: NodeId,
-                _: &mut (),
-                _: &LinkSet,
-            ) -> crate::ForwardDecision {
-                panic!("agent consulted on a clear flow")
-            }
-            fn header_bits(&self, _: &()) -> usize {
-                0
-            }
-        }
-        let (g, _, base, fib) = ring_setup();
-        let none = LinkSet::empty(g.link_count());
-        let live = base.towards(NodeId(0)).clone();
-        let mut scratch = FlowScratch::new();
-        let mut darts = Vec::new();
-        let walk = walk_flow_with(
-            &g,
-            &Panicking,
-            &fib,
-            NodeId(3),
-            NodeId(0),
-            &none,
-            &live,
-            10,
-            &mut scratch,
-            &mut |d| darts.push(d),
-        );
-        assert_eq!(walk, FlowWalk::Clear { cost: 3, hops: 3 });
-        assert_eq!(darts.len(), 3);
-        assert!(walk.is_delivered());
-        assert_eq!(walk.cost(), Some(3));
-    }
-
-    #[test]
-    fn blocked_flows_recover_through_the_agent() {
-        let (g, net, _, fib) = ring_setup();
-        let agent = net.agent(&g);
-        let direct = g.find_link(NodeId(1), NodeId(0)).unwrap();
-        let failed = LinkSet::from_links(g.link_count(), [direct]);
-        let live = SpTree::towards(&g, NodeId(0), &failed);
-        let mut scratch = FlowScratch::new();
-        let mut darts = Vec::new();
-        let walk = walk_flow_with(
-            &g,
-            &agent,
-            &fib,
-            NodeId(1),
-            NodeId(0),
-            &failed,
-            &live,
-            generous_ttl(&g),
-            &mut scratch,
-            &mut |d| darts.push(d),
-        );
-        assert_eq!(walk, FlowWalk::Recovered { cost: 5, hops: 5 }, "the long way around");
-        assert_eq!(darts.len(), 5);
-        assert!(!darts.iter().any(|d| d.link() == direct));
-    }
-
-    #[test]
-    fn disconnected_flows_are_classified_without_walking() {
-        let (g, net, _, fib) = ring_setup();
-        let agent = net.agent(&g);
-        // Cut both sides of node 0: unreachable from everywhere.
-        let l01 = g.find_link(NodeId(0), NodeId(1)).unwrap();
-        let l50 = g.find_link(NodeId(5), NodeId(0)).unwrap();
-        let failed = LinkSet::from_links(g.link_count(), [l01, l50]);
-        let live = SpTree::towards(&g, NodeId(0), &failed);
-        let mut scratch = FlowScratch::new();
-        let mut emitted = 0usize;
-        let walk = walk_flow_with(
-            &g,
-            &agent,
-            &fib,
-            NodeId(3),
-            NodeId(0),
-            &failed,
-            &live,
-            generous_ttl(&g),
-            &mut scratch,
-            &mut |_| emitted += 1,
-        );
-        assert_eq!(walk, FlowWalk::Disconnected);
-        assert_eq!(emitted, 0, "no load accounted for undelivered flows");
-        assert_eq!(walk.cost(), None);
-    }
-
-    #[test]
-    fn batch_walker_matches_single_packet_walks() {
-        let (g, net, base, fib) = ring_setup();
-        let agent = net.agent(&g);
-        let ttl = generous_ttl(&g);
-        let mut scratch = FlowScratch::new();
-        for link in g.links() {
-            let failed = LinkSet::from_links(g.link_count(), [link]);
-            for dest in g.nodes() {
-                let live = SpTree::towards(&g, dest, &failed);
-                for src in g.nodes() {
-                    if src == dest {
-                        continue;
-                    }
-                    let flow = walk_flow_with(
-                        &g,
-                        &agent,
-                        &fib,
-                        src,
-                        dest,
-                        &failed,
-                        &live,
-                        ttl,
-                        &mut scratch,
-                        &mut |_| {},
-                    );
-                    let reference = crate::walk_packet(&g, &agent, src, dest, &failed, ttl);
-                    assert_eq!(
-                        flow.is_delivered(),
-                        reference.result.is_delivered(),
-                        "{link} {src}->{dest}"
-                    );
-                    if let Some(cost) = flow.cost() {
-                        assert_eq!(cost, reference.cost(&g), "{link} {src}->{dest}");
-                    }
-                    let _ = base.towards(dest);
-                }
-            }
-        }
     }
 }

@@ -57,10 +57,7 @@ pub mod trace;
 mod walker;
 
 pub use agent::{DropReason, ForwardDecision, ForwardingAgent, PrAgent, PrMode, PrNetwork};
-pub use fib::{
-    recover_flow_with, walk_flow_with, BitScratch, DenseFib, Fib, FibFrame, FibScan, FlowScratch,
-    FlowWalk,
-};
+pub use fib::{BitScratch, DenseFib, FibFrame};
 pub use header::{HeaderCodec, HeaderError, PrHeader};
 pub use memo::{MemoStats, SuffixMemo};
 pub use scratch::{FxHasher64, WalkScratch};

@@ -2,7 +2,7 @@
 //!
 //! A [`Twin`] is everything a batch run hoists, kept warm across
 //! events: the graph, the compiled PR network, the failure-free base
-//! trees, the flat and staged FIBs, the resident demand flow set (plus
+//! trees, the staged dense FIB, the resident demand flow set (plus
 //! a uniform-unit companion for the paper's coverage metric), and the
 //! reusable scratch arenas. Link events re-derive the live all-pairs
 //! view **incrementally** — [`pr_graph::SpTree::repair_from`] against
@@ -23,7 +23,7 @@
 //! it at ≥ 5x under a cold recompile).
 
 use pr_bench::stretch::{self, Scheme};
-use pr_core::{generous_ttl, DenseFib, Fib, PrAgent, PrHeader, PrNetwork};
+use pr_core::{generous_ttl, DenseFib, PrAgent, PrHeader, PrNetwork};
 use pr_graph::{AllPairs, Graph, LinkId, LinkSet, NodeId, SpScratch, SpTree};
 use pr_traffic::{
     replay_scenario_bitparallel, FlowSet, GravityTraffic, HotspotTraffic, ReplayScratch,
@@ -125,8 +125,6 @@ pub struct ColdState {
     pub live: AllPairs,
     /// The staged dense FIB of the bit-parallel dataplane.
     pub dense: DenseFib,
-    /// The flat per-flow FIB of the batched dataplane.
-    pub fib: Fib,
 }
 
 /// Recompiles all failure-dependent routing state from scratch, the
@@ -135,8 +133,7 @@ pub fn cold_recompile(graph: &Graph, failed: &LinkSet) -> ColdState {
     let base = AllPairs::compute_all_live(graph);
     let live = AllPairs::compute(graph, failed);
     let dense = DenseFib::from_base(graph, &base);
-    let fib = Fib::from_base(graph, &base);
-    ColdState { base, live, dense, fib }
+    ColdState { base, live, dense }
 }
 
 /// The resident network twin. See the module docs for the state it
@@ -148,7 +145,6 @@ pub struct Twin {
     ttl: usize,
     base: AllPairs,
     dense: DenseFib,
-    fib: Fib,
     live: AllPairs,
     failed: LinkSet,
     demand: DemandSpec,
@@ -181,7 +177,7 @@ fn replay(
 }
 
 impl Twin {
-    /// Compiles the resident state: base trees, both FIBs, the demand
+    /// Compiles the resident state: base trees, the dense FIB, the demand
     /// and uniform flow sets. This is the one-off cold cost the daemon
     /// pays so every later event is incremental.
     pub fn new(
@@ -194,7 +190,6 @@ impl Twin {
         let uniform = FlowSet::all_pairs(&UniformTraffic::new(&graph));
         let base = AllPairs::compute_all_live(&graph);
         let dense = DenseFib::from_base(&graph, &base);
-        let fib = Fib::from_base(&graph, &base);
         // The failure-free live view *is* the base view (repair_from
         // over the empty set is the identity) — clone, don't recompute.
         let live = base.clone();
@@ -207,7 +202,6 @@ impl Twin {
             ttl,
             base,
             dense,
-            fib,
             live,
             failed,
             demand,
@@ -236,12 +230,6 @@ impl Twin {
     /// the equivalence tests compare against a cold scratch build.
     pub fn live_tree(&self, dest: NodeId) -> &SpTree {
         self.live.towards(dest)
-    }
-
-    /// The resident flat FIB (batched-dataplane residency; the
-    /// bit-parallel queries use the staged dense FIB).
-    pub fn fib(&self) -> &Fib {
-        &self.fib
     }
 
     /// The resident demand spec.

@@ -116,58 +116,6 @@ impl SpTree {
         false
     }
 
-    /// Memoised [`SpTree::path_crosses`]: same answer, amortised O(1)
-    /// per source instead of O(path length).
-    ///
-    /// Sweep workers ask "does `src`'s tree path traverse a failed
-    /// link?" for **every** source against one `(tree, failed)` pair.
-    /// The naive walk re-traverses shared path suffixes, making the
-    /// all-sources test O(n · depth). This variant records the answer
-    /// at every node it visits (stamped with the scratch's current
-    /// unit generation), so each tree dart is walked at most once per
-    /// unit: the frontier of a walk is either the destination, a
-    /// failed dart, or a node whose answer is already known, and the
-    /// whole stacked prefix inherits that answer.
-    ///
-    /// Callers must invoke [`CrossingScratch::begin_unit`] whenever
-    /// the `(tree, failed)` pair changes; answers are only reused
-    /// within one unit.
-    pub fn path_crosses_memo(
-        &self,
-        graph: &Graph,
-        from: NodeId,
-        failed: &LinkSet,
-        scratch: &mut CrossingScratch,
-    ) -> bool {
-        debug_assert!(scratch.stamp.len() >= self.next.len(), "begin_unit not called");
-        let generation = scratch.generation;
-        let mut at = from.index();
-        let result = loop {
-            if scratch.stamp[at] == generation {
-                break scratch.crosses[at];
-            }
-            match self.next[at] {
-                // Destination or unreachable: nothing (more) to cross.
-                None => break false,
-                Some(d) => {
-                    scratch.stack.push(at);
-                    if failed.contains_dart(d) {
-                        break true;
-                    }
-                    at = graph.dart_head(d).index();
-                }
-            }
-        };
-        // Every stacked node's path runs through the frontier (or
-        // *is* the failed hop), so they all share its answer.
-        for &u in &scratch.stack {
-            scratch.stamp[u] = generation;
-            scratch.crosses[u] = result;
-        }
-        scratch.stack.clear();
-        result
-    }
-
     /// `true` if the tree routes over `link` (i.e. `link` is one of
     /// the tree's parent darts). O(1): only the two endpoints can
     /// have a parent dart on `link`.
@@ -212,50 +160,6 @@ impl SpTree {
         out.clear();
         out.extend((0..self.dist.len() as u32).map(NodeId).filter(|u| self.reaches(*u)));
         out.sort_unstable_by_key(|u| (self.dist[u.index()], u.0));
-    }
-
-    /// Fills `out` (cleared and resized to one bit per node) with the
-    /// reachability bitset: bit `u` is set iff `u` can reach the
-    /// destination. The word form of [`SpTree::reaches`], built in one
-    /// pass so callers can classify 64 sources per boolean operation
-    /// against other node sets (see [`crate::bits`]).
-    pub fn reach_words_into(&self, out: &mut Vec<u64>) {
-        crate::bits::clear_and_resize(out, self.dist.len());
-        for (i, d) in self.dist.iter().enumerate() {
-            if d.is_some() {
-                crate::bits::set(out, i);
-            }
-        }
-    }
-}
-
-/// Reusable memo arena for [`SpTree::path_crosses_memo`].
-///
-/// Generation-stamped so starting the next `(tree, failed)` unit is
-/// O(1) — no clearing; stale entries are simply ignored because their
-/// stamp no longer matches.
-#[derive(Debug, Default, Clone)]
-pub struct CrossingScratch {
-    stamp: Vec<u64>,
-    crosses: Vec<bool>,
-    generation: u64,
-    stack: Vec<usize>,
-}
-
-impl CrossingScratch {
-    /// An empty arena; sized lazily by [`CrossingScratch::begin_unit`].
-    pub fn new() -> CrossingScratch {
-        CrossingScratch::default()
-    }
-
-    /// Starts a new memo unit for a graph with `nodes` nodes,
-    /// invalidating all previous answers.
-    pub fn begin_unit(&mut self, nodes: usize) {
-        if self.stamp.len() < nodes {
-            self.stamp.resize(nodes, 0);
-            self.crosses.resize(nodes, false);
-        }
-        self.generation += 1;
     }
 }
 
@@ -509,41 +413,6 @@ mod tests {
     fn graph_error_display_is_stable() {
         let err = GraphError::ZeroWeight;
         assert!(err.to_string().contains(">= 1"));
-    }
-
-    #[test]
-    fn memoised_path_crosses_matches_walk() {
-        let g = crate::generators::isp_mesh(&crate::generators::MeshParams::new(30, 4));
-        let mut scratch = CrossingScratch::new();
-        for dest in g.nodes().take(6) {
-            let t = SpTree::towards_all_live(&g, dest);
-            for failed_link in g.links() {
-                let failed = LinkSet::from_links(g.link_count(), [failed_link]);
-                scratch.begin_unit(g.node_count());
-                for src in g.nodes() {
-                    assert_eq!(
-                        t.path_crosses_memo(&g, src, &failed, &mut scratch),
-                        t.path_crosses(&g, src, &failed),
-                        "dest={dest} failed={failed_link} src={src}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn memoised_path_crosses_handles_disconnection() {
-        let mut g = Graph::new();
-        let a = g.add_node("A");
-        let b = g.add_node("B");
-        let ab = g.add_link(a, b, 1).unwrap();
-        let failed = LinkSet::from_links(g.link_count(), [ab]);
-        let t = SpTree::towards(&g, b, &failed);
-        let mut scratch = CrossingScratch::new();
-        scratch.begin_unit(g.node_count());
-        assert!(!t.path_crosses_memo(&g, a, &failed, &mut scratch));
-        // Second query hits the memo and must agree.
-        assert!(!t.path_crosses_memo(&g, a, &failed, &mut scratch));
     }
 
     #[test]

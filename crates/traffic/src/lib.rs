@@ -19,11 +19,10 @@
 //!   time through u64 frontiers over the staged dense FIB, clear
 //!   demand aggregated bottom-up per subtree (one add per tree dart),
 //!   only the affected-but-connected remainder walked per flow.
-//!   [`replay_scenario`] is the per-flow batched dataplane it
-//!   superseded, [`replay_scenario_naive`] the one-packet-at-a-time
-//!   reference; all three produce bit-identical results because flow
-//!   demands live on a power-of-two grid that makes every replay sum
-//!   exact (association-free).
+//!   [`replay_scenario_naive`] is the one-packet-at-a-time reference;
+//!   both produce bit-identical results because flow demands live on
+//!   a power-of-two grid that makes every replay sum exact
+//!   (association-free).
 //! * [`ScenarioTraffic`] / [`DemandTally`] — demand-weighted
 //!   resilience metrics: weighted coverage, % demand lost, per-link
 //!   peak load and max-link-utilisation under failure.
@@ -38,24 +37,24 @@
 //! ## Example
 //!
 //! ```
-//! use pr_core::{generous_ttl, DiscriminatorKind, Fib, PrMode, PrNetwork};
+//! use pr_core::{generous_ttl, DenseFib, DiscriminatorKind, PrMode, PrNetwork};
 //! use pr_embedding::{heuristics, CellularEmbedding};
 //! use pr_graph::{AllPairs, LinkSet};
-//! use pr_traffic::{replay_scenario, FlowSet, GravityTraffic, ReplayScratch};
+//! use pr_traffic::{replay_scenario_bitparallel, FlowSet, GravityTraffic, ReplayScratch};
 //!
 //! let g = pr_topologies::load(pr_topologies::Isp::Abilene, pr_topologies::Weighting::Distance);
 //! let emb = CellularEmbedding::new(&g, heuristics::thorough(&g, 2010, 4, 10_000)).unwrap();
 //! let net = PrNetwork::compile(&g, emb, PrMode::DistanceDiscriminator, DiscriminatorKind::Hops);
 //!
 //! let base = AllPairs::compute_all_live(&g);
-//! let fib = Fib::from_base(&g, &base);
+//! let dense = DenseFib::from_base(&g, &base);
 //! let flows = FlowSet::all_pairs(&GravityTraffic::new(&g));
 //!
 //! // Fail one link and replay the whole matrix through it.
 //! let failed = LinkSet::from_links(g.link_count(), [g.links().next().unwrap()]);
 //! let mut scratch = ReplayScratch::new();
-//! let out = replay_scenario(
-//!     &g, &net.agent(&g), &fib, &base, &flows, &failed, generous_ttl(&g), &mut scratch,
+//! let out = replay_scenario_bitparallel(
+//!     &g, &net.agent(&g), &dense, &base, &flows, &failed, generous_ttl(&g), &mut scratch,
 //! );
 //! assert_eq!(out.tally.lost(), 0.0); // PR-DD loses no demand to a single failure
 //! assert!(out.max_link_utilisation() > 0.0);
@@ -72,8 +71,7 @@ mod timeline;
 pub use flows::{Flow, FlowSet};
 pub use model::{GravityTraffic, HotspotTraffic, TrafficMatrix, TrafficModel, UniformTraffic};
 pub use replay::{
-    replay_scenario, replay_scenario_bitparallel, replay_scenario_naive, ReplayScratch,
-    ScenarioTraffic,
+    replay_scenario_bitparallel, replay_scenario_naive, ReplayScratch, ScenarioTraffic,
 };
 pub use timeline::{replay_timeline, TimelineTraffic};
 

@@ -1,43 +1,39 @@
-//! The batched flow-replay dataplane.
+//! The flow-replay dataplanes.
 //!
-//! [`replay_scenario`] drives a whole [`FlowSet`] through one failure
-//! scenario the way PR 2/4 drive scenario sweeps: all
-//! failure-invariant state (the [`Fib`], the hoisted failure-free
-//! trees) is compiled once by the caller, all per-scenario state (the
-//! survivor tree, the walk scratch, the link-load accumulator) lives
-//! in a reusable [`ReplayScratch`], and the per-flow work is the
-//! [`pr_core::walk_flow_with`] batch walker — one FIB lookup chain for
-//! the (common) unaffected flows, the full agent machinery only for
-//! flows a failure actually touched.
+//! [`replay_scenario_bitparallel`] drives a whole [`FlowSet`] through
+//! one failure scenario the way the scenario sweeps do: all
+//! failure-invariant state (the staged [`DenseFib`], the hoisted
+//! failure-free trees) is compiled once by the caller, all
+//! per-scenario state (the survivor components, the classification
+//! bitsets, the walk scratch, the link-load accumulator) lives in a
+//! reusable [`ReplayScratch`], and only flows a failure actually
+//! touched are walked through the full agent.
 //!
 //! [`replay_scenario_naive`] is the per-packet reference: one
 //! [`walk_packet`] per flow with a fresh scratch, the way a sweep
 //! would evaluate flows one at a time. Both produce the identical
 //! [`ScenarioTraffic`] for the shortest-path-confluent schemes in this
 //! workspace (asserted by tests and the determinism suite); the
-//! batched path is what the throughput benchmark measures against.
+//! bit-parallel path is what the throughput benchmark measures against
+//! it.
 
 use pr_core::{
-    recover_flow_with, walk_flow_with, walk_packet, BitScratch, DenseFib, Fib, FlowScratch,
-    FlowWalk, ForwardingAgent,
+    walk_packet, walk_packet_with, BitScratch, DenseFib, ForwardingAgent, WalkResult, WalkScratch,
 };
-use pr_graph::{bits, AllPairs, Graph, LinkId, LinkSet, NodeId, SpScratch, SpTree};
+use pr_graph::{bits, AllPairs, Graph, LinkId, LinkSet, NodeId, SpTree};
 use pr_sim::DemandTally;
 use serde::{Deserialize, Serialize};
 
 use crate::FlowSet;
 
-/// Reusable per-worker state of the batched replay: the flow-walk
-/// scratch (livelock detector + staged-path buffer), the Dijkstra
-/// arena and survivor tree for per-scenario SPT repair, the u64
-/// classification frontiers of the bit-parallel dataplane, and the
-/// per-link load accumulator. Everything is reset in place — the
-/// steady state allocates nothing per scenario.
+/// Reusable per-worker state of the bit-parallel replay: the livelock
+/// detector for fallback walks, the u64 classification frontiers, the
+/// survivor-component labelling and the per-link load accumulator.
+/// Everything is reset in place — the steady state allocates nothing
+/// per scenario.
 #[derive(Debug)]
 pub struct ReplayScratch<S> {
-    walk: FlowScratch<S>,
-    sp: SpScratch,
-    live: SpTree,
+    walk: WalkScratch<S>,
     bits: BitScratch,
     /// Survivor-graph component labels, one per node (per scenario).
     comp: Vec<u32>,
@@ -52,9 +48,7 @@ impl<S> ReplayScratch<S> {
     /// Fresh scratch state; buffers grow to the topology on first use.
     pub fn new() -> ReplayScratch<S> {
         ReplayScratch {
-            walk: FlowScratch::new(),
-            sp: SpScratch::new(),
-            live: SpTree::placeholder(),
+            walk: WalkScratch::new(),
             bits: BitScratch::new(),
             comp: Vec::new(),
             comp_words: Vec::new(),
@@ -65,8 +59,8 @@ impl<S> ReplayScratch<S> {
 
     /// Per-link demand accumulated by the most recent replay through
     /// this scratch (indexed by [`LinkId`]). Exposed so property tests
-    /// can compare the full load vector across dataplanes, not just
-    /// its peak.
+    /// can compare the full load vector against one built from
+    /// per-packet walks, not just its peak.
     pub fn link_loads(&self) -> &[f64] {
         &self.loads
     }
@@ -130,66 +124,6 @@ fn peak_load(loads: &[f64], delivered: f64) -> (f64, Option<LinkId>) {
     (max, arg)
 }
 
-/// Replays `flows` under the static failure set `failed` using the
-/// batched dataplane: per destination group, the survivor tree is
-/// rebuilt by incremental repair from the hoisted `base` trees, then
-/// every flow takes the FIB fast path or falls back to the full agent
-/// walk. Delivered flows add their demand to each link they traverse.
-///
-/// `fib` must be compiled from the same `base` trees
-/// ([`Fib::from_base`]) so the affected/unaffected classification
-/// matches the canonical shortest paths.
-#[allow(clippy::too_many_arguments)]
-pub fn replay_scenario<A: ForwardingAgent>(
-    graph: &Graph,
-    agent: &A,
-    fib: &Fib,
-    base: &AllPairs,
-    flows: &FlowSet,
-    failed: &LinkSet,
-    ttl: usize,
-    scratch: &mut ReplayScratch<A::State>,
-) -> ScenarioTraffic
-where
-    A::State: std::hash::Hash + Eq,
-{
-    let ReplayScratch { walk, sp, live, loads, .. } = scratch;
-    loads.clear();
-    loads.resize(graph.link_count(), 0.0);
-
-    let mut tally = DemandTally::default();
-    for (dst, group) in flows.by_destination() {
-        let base_tree = base.towards(dst);
-        live.repair_refresh(base_tree, graph, failed, sp);
-        for flow in group {
-            let outcome = walk_flow_with(
-                graph,
-                agent,
-                fib,
-                flow.src,
-                dst,
-                failed,
-                live,
-                ttl,
-                walk,
-                |d: pr_graph::Dart| loads[d.link().index()] += flow.demand,
-            );
-            match outcome {
-                FlowWalk::Clear { .. } => tally.record_clear(flow.demand),
-                FlowWalk::Recovered { cost, .. } => {
-                    let optimal = base_tree.cost(flow.src).expect("connected base graph");
-                    tally.record_recovered(flow.demand, cost as f64 / optimal as f64);
-                }
-                FlowWalk::Disconnected => tally.record_disconnected(flow.demand),
-                FlowWalk::Dropped(_) => tally.record_dropped(flow.demand),
-            }
-        }
-    }
-
-    let (max_link_load, peak_link) = peak_load(loads, tally.delivered);
-    ScenarioTraffic { tally, max_link_load, peak_link }
-}
-
 /// Labels the survivor graph's connected components — failed links
 /// removed — returning the component count. One O(n + m) pass per
 /// scenario, **destination-independent**: the survivor shortest-path
@@ -232,10 +166,9 @@ fn survivor_components(
 /// Replays `flows` under `failed` using the **bit-parallel
 /// destination-major dataplane** — the fast path of this workspace.
 ///
-/// Where [`replay_scenario`] still walks every flow (one FIB chase
-/// per clear flow) and repairs a survivor tree per destination, this
-/// dataplane touches no per-flow state for clear flows and no
-/// shortest-path machinery at all:
+/// Where [`replay_scenario_naive`] walks every flow and builds a
+/// survivor tree per destination, this dataplane touches no per-flow
+/// state for clear flows and no shortest-path machinery at all:
 ///
 /// 1. **Survivor components.** One O(n + m) labelling of the failed
 ///    graph per *scenario* ([`survivor_components`]); reachability
@@ -260,15 +193,14 @@ fn survivor_components(
 ///    instead of one per *path link* — O(n) per destination instead
 ///    of O(Σ path lengths).
 /// 4. **Fallback.** Affected-but-connected flows walk the full agent
-///    via [`recover_flow_with`] — the identical code path
-///    [`walk_flow_with`] takes after its gate — in ascending source
-///    order.
+///    via [`walk_packet_with`] — the walk [`replay_scenario_naive`]
+///    takes for them — in ascending source order.
 ///
 /// Produces the **bit-identical** [`ScenarioTraffic`] of
-/// [`replay_scenario`] and [`replay_scenario_naive`]: flow demands
-/// live on the power-of-two demand grid (see `FlowSet`), so every
-/// per-scenario f64 sum here is exact and therefore independent of
-/// how this dataplane regroups the additions.
+/// [`replay_scenario_naive`]: flow demands live on the power-of-two
+/// demand grid (see `FlowSet`), so every per-scenario f64 sum here is
+/// exact and therefore independent of how this dataplane regroups the
+/// additions.
 ///
 /// `dense` must be compiled from `base` ([`DenseFib::from_base`]).
 #[allow(clippy::too_many_arguments)]
@@ -285,7 +217,7 @@ pub fn replay_scenario_bitparallel<A: ForwardingAgent>(
 where
     A::State: std::hash::Hash + Eq,
 {
-    let ReplayScratch { walk, bits: bit, comp, comp_words, queue, loads, .. } = scratch;
+    let ReplayScratch { walk: walk_scratch, bits: bit, comp, comp_words, queue, loads } = scratch;
     loads.clear();
     loads.resize(graph.link_count(), 0.0);
     let n = graph.node_count();
@@ -360,19 +292,17 @@ where
                 let fallback = (bit.present[w] & bit.affected[w]) & r;
                 bits::for_each_in_word(fallback, w * 64, |i| {
                     let (src, demand) = (NodeId(i as u32), bit.demand[i]);
-                    let outcome =
-                        recover_flow_with(graph, agent, src, dst, failed, ttl, walk, |d| {
-                            loads[d.link().index()] += demand;
-                        });
-                    match outcome {
-                        FlowWalk::Recovered { cost, .. } => {
+                    let walk = walk_packet_with(graph, agent, src, dst, failed, ttl, walk_scratch);
+                    match walk.result {
+                        WalkResult::Delivered => {
+                            for d in walk.path.darts() {
+                                loads[d.link().index()] += demand;
+                            }
                             let optimal = base_tree.cost(src).expect("connected base graph");
-                            tally.record_recovered(demand, cost as f64 / optimal as f64);
+                            let stretch = walk.cost(graph) as f64 / optimal as f64;
+                            tally.record_recovered(demand, stretch);
                         }
-                        FlowWalk::Dropped(_) => tally.record_dropped(demand),
-                        FlowWalk::Clear { .. } | FlowWalk::Disconnected => {
-                            unreachable!("recover_flow_with only recovers or drops")
-                        }
+                        WalkResult::Dropped(_) => tally.record_dropped(demand),
                     }
                 });
             }
@@ -387,8 +317,8 @@ where
 /// with a fresh scratch and a from-scratch survivor tree per
 /// destination — no FIB, no batching, no repair. Produces the
 /// identical [`ScenarioTraffic`] for the shortest-path-confluent
-/// schemes in this workspace; benchmarks measure [`replay_scenario`]
-/// against it.
+/// schemes in this workspace; benchmarks measure
+/// [`replay_scenario_bitparallel`] against it.
 pub fn replay_scenario_naive<A: ForwardingAgent>(
     graph: &Graph,
     agent: &A,
@@ -434,12 +364,13 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FlowSet, GravityTraffic, UniformTraffic};
+    use crate::{FlowSet, GravityTraffic, TrafficModel, UniformTraffic};
     use pr_core::{generous_ttl, DiscriminatorKind, PrMode, PrNetwork};
-    use pr_embedding::CellularEmbedding;
+    use pr_embedding::{CellularEmbedding, RotationSystem};
+    use pr_graph::{generators, Dart};
     use pr_topologies::{Isp, Weighting};
 
-    fn abilene_setup() -> (Graph, PrNetwork, AllPairs, Fib) {
+    fn abilene_setup() -> (Graph, PrNetwork, AllPairs, DenseFib) {
         let g = pr_topologies::load(Isp::Abilene, Weighting::Distance);
         let rot = pr_embedding::heuristics::thorough(&g, 2010, 4, 10_000);
         let emb = CellularEmbedding::new(&g, rot).unwrap();
@@ -447,19 +378,105 @@ mod tests {
         let net =
             PrNetwork::compile(&g, emb, PrMode::DistanceDiscriminator, DiscriminatorKind::Hops);
         let base = AllPairs::compute_all_live(&g);
-        let fib = Fib::from_base(&g, &base);
-        (g, net, base, fib)
+        let dense = DenseFib::from_base(&g, &base);
+        (g, net, base, dense)
+    }
+
+    fn ring_setup() -> (Graph, PrNetwork, AllPairs, DenseFib) {
+        let g = generators::ring(6, 1);
+        let emb = CellularEmbedding::new(&g, RotationSystem::identity(&g)).unwrap();
+        let net =
+            PrNetwork::compile(&g, emb, PrMode::DistanceDiscriminator, DiscriminatorKind::Hops);
+        let base = AllPairs::compute_all_live(&g);
+        let dense = DenseFib::from_base(&g, &base);
+        (g, net, base, dense)
+    }
+
+    /// A matrix with unit demand on one ordered pair and none
+    /// elsewhere.
+    struct OnePair(usize, NodeId, NodeId);
+
+    impl TrafficModel for OnePair {
+        fn label(&self) -> String {
+            "one-pair".into()
+        }
+        fn node_count(&self) -> usize {
+            self.0
+        }
+        fn demand(&self, src: NodeId, dst: NodeId) -> f64 {
+            if (src, dst) == (self.1, self.2) {
+                1.0
+            } else {
+                0.0
+            }
+        }
+    }
+
+    /// An agent that panics on every decision: replays through it
+    /// prove the agent was never consulted.
+    struct Panicking;
+
+    impl ForwardingAgent for Panicking {
+        type State = ();
+        fn label(&self) -> &'static str {
+            "panicking"
+        }
+        fn decide(
+            &self,
+            _: NodeId,
+            _: Option<Dart>,
+            _: NodeId,
+            _: &mut (),
+            _: &LinkSet,
+        ) -> pr_core::ForwardDecision {
+            panic!("agent consulted")
+        }
+        fn header_bits(&self, _: &()) -> usize {
+            0
+        }
+    }
+
+    /// The per-link loads the per-packet walks imply: every delivered
+    /// walk adds its flow's demand to each link it crosses.
+    fn walked_loads<A: ForwardingAgent>(
+        g: &Graph,
+        agent: &A,
+        flows: &FlowSet,
+        failed: &LinkSet,
+    ) -> Vec<f64>
+    where
+        A::State: std::hash::Hash + Eq,
+    {
+        let mut loads = vec![0.0; g.link_count()];
+        for f in flows.flows() {
+            let walk = walk_packet(g, agent, f.src, f.dst, failed, generous_ttl(g));
+            if walk.result.is_delivered() {
+                for d in walk.path.darts() {
+                    loads[d.link().index()] += f.demand;
+                }
+            }
+        }
+        loads
     }
 
     #[test]
     fn no_failure_replay_delivers_everything_on_shortest_paths() {
-        let (g, net, base, fib) = abilene_setup();
+        let (g, net, base, dense) = abilene_setup();
         let agent = net.agent(&g);
         let flows = FlowSet::all_pairs(&UniformTraffic::new(&g));
         let none = LinkSet::empty(g.link_count());
         let mut scratch = ReplayScratch::new();
-        let out =
-            replay_scenario(&g, &agent, &fib, &base, &flows, &none, generous_ttl(&g), &mut scratch);
+        let ttl = generous_ttl(&g);
+        let out = replay_scenario_bitparallel(
+            &g,
+            &agent,
+            &dense,
+            &base,
+            &flows,
+            &none,
+            ttl,
+            &mut scratch,
+        );
         assert_eq!(out.tally.flows as usize, flows.len());
         assert_eq!(out.tally.delivered, out.tally.offered);
         assert_eq!(out.tally.evaluated, 0.0, "nothing affected without failures");
@@ -467,30 +484,14 @@ mod tests {
         assert!(out.max_link_load > 0.0);
         assert!(out.peak_link.is_some());
         assert!(out.max_link_utilisation() > 0.0 && out.max_link_utilisation() < 1.0);
-    }
-
-    #[test]
-    fn batched_matches_naive_on_every_single_failure() {
-        let (g, net, base, fib) = abilene_setup();
-        let agent = net.agent(&g);
-        let ttl = generous_ttl(&g);
-        let flows = FlowSet::all_pairs(&GravityTraffic::new(&g));
-        let mut scratch = ReplayScratch::new();
-        for link in g.links() {
-            let failed = LinkSet::from_links(g.link_count(), [link]);
-            let batched =
-                replay_scenario(&g, &agent, &fib, &base, &flows, &failed, ttl, &mut scratch);
-            let naive = replay_scenario_naive(&g, &agent, &base, &flows, &failed, ttl);
-            assert_eq!(batched, naive, "link {link}");
-            assert!(batched.tally.evaluated > 0.0, "every link carries some shortest path");
-            assert_eq!(batched.tally.lost(), 0.0, "PR-DD delivers on genus 0 (2EC, k=1)");
-        }
+        assert_eq!(scratch.link_loads(), walked_loads(&g, &agent, &flows, &none));
     }
 
     #[test]
     fn disconnecting_failures_lose_exactly_the_cut_demand() {
-        let (g, net, base, fib) = abilene_setup();
+        let (g, net, base, dense) = abilene_setup();
         let agent = net.agent(&g);
+        let ttl = generous_ttl(&g);
         // Fail every link at a node of degree 2: its traffic row and
         // column are lost, everything else must still deliver.
         let victim = g.nodes().find(|&v| g.degree(v) == 2).expect("Abilene has degree-2 PoPs");
@@ -500,20 +501,21 @@ mod tests {
         }
         let flows = FlowSet::all_pairs(&UniformTraffic::new(&g));
         let mut scratch = ReplayScratch::new();
-        let out = replay_scenario(
+        let out = replay_scenario_bitparallel(
             &g,
             &agent,
-            &fib,
+            &dense,
             &base,
             &flows,
             &failed,
-            generous_ttl(&g),
+            ttl,
             &mut scratch,
         );
         let n = g.node_count() as f64;
         assert_eq!(out.tally.disconnected, 2.0 * (n - 1.0), "victim's row + column");
         assert_eq!(out.tally.dropped, 0.0);
         assert_eq!(out.tally.delivered, out.tally.offered - out.tally.disconnected);
+        assert_eq!(out, replay_scenario_naive(&g, &agent, &base, &flows, &failed, ttl));
     }
 
     #[test]
@@ -527,18 +529,14 @@ mod tests {
     }
 
     #[test]
-    fn bitparallel_matches_batched_and_naive_on_every_single_failure() {
-        let (g, net, base, fib) = abilene_setup();
-        let dense = pr_core::DenseFib::from_base(&g, &base);
+    fn bitparallel_matches_naive_on_every_single_failure() {
+        let (g, net, base, dense) = abilene_setup();
         let agent = net.agent(&g);
         let ttl = generous_ttl(&g);
         let flows = FlowSet::all_pairs(&GravityTraffic::new(&g));
         let mut scratch = ReplayScratch::new();
-        let mut bp_scratch = ReplayScratch::new();
         for link in g.links() {
             let failed = LinkSet::from_links(g.link_count(), [link]);
-            let batched =
-                replay_scenario(&g, &agent, &fib, &base, &flows, &failed, ttl, &mut scratch);
             let bitparallel = replay_scenario_bitparallel(
                 &g,
                 &agent,
@@ -547,77 +545,104 @@ mod tests {
                 &flows,
                 &failed,
                 ttl,
-                &mut bp_scratch,
+                &mut scratch,
             );
-            assert_eq!(bitparallel, batched, "link {link}");
-            // Not just the peak: the whole load vector is bit-equal.
-            assert_eq!(bp_scratch.link_loads(), scratch.link_loads(), "link {link}");
             let naive = replay_scenario_naive(&g, &agent, &base, &flows, &failed, ttl);
             assert_eq!(bitparallel, naive, "link {link}");
+            // Not just the peak: the whole load vector is bit-equal.
+            assert_eq!(
+                scratch.link_loads(),
+                walked_loads(&g, &agent, &flows, &failed),
+                "link {link}"
+            );
+            assert!(bitparallel.tally.evaluated > 0.0, "every link carries some shortest path");
+            assert_eq!(bitparallel.tally.lost(), 0.0, "PR-DD delivers on genus 0 (2EC, k=1)");
         }
     }
 
     #[test]
-    fn bitparallel_handles_disconnection_and_no_failure_scenarios() {
-        let (g, net, base, fib) = abilene_setup();
-        let dense = pr_core::DenseFib::from_base(&g, &base);
-        let agent = net.agent(&g);
-        let ttl = generous_ttl(&g);
+    fn clear_flows_never_consult_the_agent() {
+        let (g, _, base, dense) = ring_setup();
         let flows = FlowSet::all_pairs(&UniformTraffic::new(&g));
-        let mut scratch = ReplayScratch::new();
-
-        // No failures: everything clear via subtree aggregation only.
         let none = LinkSet::empty(g.link_count());
+        let mut scratch = ReplayScratch::new();
         let out = replay_scenario_bitparallel(
             &g,
-            &agent,
+            &Panicking,
             &dense,
             &base,
             &flows,
             &none,
-            ttl,
+            10,
             &mut scratch,
         );
-        assert_eq!(out.tally.flows as usize, flows.len());
         assert_eq!(out.tally.delivered, out.tally.offered);
         assert_eq!(out.tally.evaluated, 0.0);
+        // Every flow's shortest path is credited, link by link.
+        let hops: u32 =
+            flows.flows().iter().map(|f| base.towards(f.dst).hops(f.src).unwrap()).sum();
+        assert_eq!(scratch.link_loads().iter().sum::<f64>(), f64::from(hops));
+    }
 
-        // Cut off a degree-2 PoP: its row and column disconnect.
-        let victim = g.nodes().find(|&v| g.degree(v) == 2).expect("Abilene has degree-2 PoPs");
-        let mut failed = LinkSet::empty(g.link_count());
-        for d in g.darts_from(victim) {
-            failed.insert(d.link());
-        }
-        let cut = replay_scenario_bitparallel(
+    #[test]
+    fn blocked_flows_recover_through_the_agent() {
+        let (g, net, base, dense) = ring_setup();
+        let direct = g.find_link(NodeId(1), NodeId(0)).unwrap();
+        let failed = LinkSet::from_links(g.link_count(), [direct]);
+        let flows = FlowSet::all_pairs(&OnePair(g.node_count(), NodeId(1), NodeId(0)));
+        let mut scratch = ReplayScratch::new();
+        let out = replay_scenario_bitparallel(
             &g,
-            &agent,
+            &net.agent(&g),
             &dense,
             &base,
             &flows,
             &failed,
-            ttl,
+            generous_ttl(&g),
             &mut scratch,
         );
-        let n = g.node_count() as f64;
-        assert_eq!(cut.tally.disconnected, 2.0 * (n - 1.0));
-        assert_eq!(cut.tally.dropped, 0.0);
-        let mut batched = ReplayScratch::new();
-        let reference =
-            replay_scenario(&g, &agent, &fib, &base, &flows, &failed, ttl, &mut batched);
-        assert_eq!(cut, reference);
+        assert_eq!(out.tally.evaluated_delivered, 1.0);
+        assert_eq!(out.tally.mean_weighted_stretch(), Some(5.0), "the long way around");
+        let loads = scratch.link_loads();
+        assert_eq!(loads.iter().sum::<f64>(), 5.0);
+        assert_eq!(loads[direct.index()], 0.0);
+    }
+
+    #[test]
+    fn disconnected_flows_are_classified_without_walking() {
+        let (g, _, base, dense) = ring_setup();
+        // Cut both sides of node 0: unreachable from everywhere.
+        let l01 = g.find_link(NodeId(0), NodeId(1)).unwrap();
+        let l50 = g.find_link(NodeId(5), NodeId(0)).unwrap();
+        let failed = LinkSet::from_links(g.link_count(), [l01, l50]);
+        let flows = FlowSet::all_pairs(&OnePair(g.node_count(), NodeId(3), NodeId(0)));
+        let mut scratch = ReplayScratch::new();
+        let out = replay_scenario_bitparallel(
+            &g,
+            &Panicking,
+            &dense,
+            &base,
+            &flows,
+            &failed,
+            10,
+            &mut scratch,
+        );
+        assert_eq!(out.tally.disconnected, 1.0);
+        assert_eq!(out.peak_link, None);
+        assert!(scratch.link_loads().iter().all(|&l| l == 0.0), "no load for undelivered flows");
     }
 
     #[test]
     fn sampled_flows_replay_and_conserve_demand() {
-        let (g, net, base, fib) = abilene_setup();
+        let (g, net, base, dense) = abilene_setup();
         let agent = net.agent(&g);
         let flows = FlowSet::sampled(&GravityTraffic::new(&g), 200, 7);
         let failed = LinkSet::from_links(g.link_count(), [g.links().next().unwrap()]);
         let mut scratch = ReplayScratch::new();
-        let out = replay_scenario(
+        let out = replay_scenario_bitparallel(
             &g,
             &agent,
-            &fib,
+            &dense,
             &base,
             &flows,
             &failed,

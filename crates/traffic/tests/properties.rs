@@ -11,15 +11,14 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use pr_core::{
-    generous_ttl, walk_flow_with, walk_packet, DenseFib, DiscriminatorKind, Fib, FlowScratch,
-    FlowWalk, PrMode, PrNetwork, WalkResult,
+    generous_ttl, walk_packet, DenseFib, DiscriminatorKind, PrMode, PrNetwork, WalkResult,
 };
 use pr_embedding::{CellularEmbedding, RotationSystem};
-use pr_graph::{bits, generators, AllPairs, Graph, SpTree};
+use pr_graph::{bits, generators, AllPairs, Graph, NodeId, SpTree};
 use pr_scenarios::{ScenarioFamily, SingleLinkFailures};
 use pr_traffic::{
-    replay_scenario, replay_scenario_bitparallel, replay_scenario_naive, FlowSet, HotspotTraffic,
-    ReplayScratch, TrafficMatrix, TrafficModel, UniformTraffic,
+    replay_scenario_bitparallel, replay_scenario_naive, FlowSet, HotspotTraffic, ReplayScratch,
+    TrafficMatrix, TrafficModel, UniformTraffic,
 };
 
 /// A reproducible random 2-edge-connected graph.
@@ -37,6 +36,26 @@ fn compile_net(g: &Graph) -> PrNetwork {
     PrNetwork::compile(g, emb, PrMode::DistanceDiscriminator, DiscriminatorKind::Hops)
 }
 
+/// A matrix with unit demand on one ordered pair and none elsewhere:
+/// replaying it isolates one flow's classification in the tally.
+struct OnePair(usize, NodeId, NodeId);
+
+impl TrafficModel for OnePair {
+    fn label(&self) -> String {
+        "one-pair".into()
+    }
+    fn node_count(&self) -> usize {
+        self.0
+    }
+    fn demand(&self, src: NodeId, dst: NodeId) -> f64 {
+        if (src, dst) == (self.1, self.2) {
+            1.0
+        } else {
+            0.0
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -49,7 +68,7 @@ proptest! {
         let net = compile_net(&g);
         let agent = net.agent(&g);
         let base = AllPairs::compute_all_live(&g);
-        let fib = Fib::from_base(&g, &base);
+        let dense = DenseFib::from_base(&g, &base);
         let flows = FlowSet::all_pairs(&UniformTraffic::new(&g));
         let ttl = generous_ttl(&g);
         let mut scratch = ReplayScratch::new();
@@ -57,7 +76,9 @@ proptest! {
 
         for i in 0..singles.len() {
             let failed = singles.scenario(i);
-            let out = replay_scenario(&g, &agent, &fib, &base, &flows, &failed, ttl, &mut scratch);
+            let out = replay_scenario_bitparallel(
+                &g, &agent, &dense, &base, &flows, &failed, ttl, &mut scratch,
+            );
 
             // The unweighted reference: exactly the coverage
             // experiment's conditioning and counters.
@@ -89,48 +110,24 @@ proptest! {
         }
     }
 
-    /// The batched dataplane and the per-packet reference agree
-    /// bit-for-bit on arbitrary graphs and failure scenarios (the
-    /// confluence contract of the FIB fast path).
-    #[test]
-    fn batched_replay_equals_naive_reference(g in arb_graph(), seed in 0u64..1024) {
-        let net = compile_net(&g);
-        let agent = net.agent(&g);
-        let base = AllPairs::compute_all_live(&g);
-        let fib = Fib::from_base(&g, &base);
-        let n = g.node_count();
-        let hot = HotspotTraffic::new(&g, (n / 4).max(1), 4.0, seed);
-        let flows = FlowSet::sampled(&hot, 64, seed);
-        let ttl = generous_ttl(&g);
-        let mut scratch = ReplayScratch::new();
-        let singles = SingleLinkFailures::new(&g);
-        for i in 0..singles.len() {
-            let failed = singles.scenario(i);
-            let batched =
-                replay_scenario(&g, &agent, &fib, &base, &flows, &failed, ttl, &mut scratch);
-            let naive = replay_scenario_naive(&g, &agent, &base, &flows, &failed, ttl);
-            prop_assert_eq!(&batched, &naive, "scenario {}", i);
-        }
-    }
-
     /// The u64-frontier affected-set classification agrees with the
-    /// per-flow machinery on every source of every destination group:
-    /// the affected bit is exactly `path_crosses`, a clear bit is
-    /// exactly a [`FlowWalk::Clear`] outcome of the batched walker,
-    /// and `affected ∧ ¬reach` is exactly [`FlowWalk::Disconnected`].
+    /// per-flow tree walks on every source of every destination group:
+    /// the affected bit is exactly `path_crosses`, the bit-parallel
+    /// replay of the flow alone classifies it clear exactly when its
+    /// base path is not crossed, and disconnected exactly when it is
+    /// affected and the survivor tree no longer `reaches` it.
     #[test]
     fn bitset_classification_matches_per_flow_walks(g in arb_graph(), seed in 0u64..1024) {
         let net = compile_net(&g);
         let agent = net.agent(&g);
         let base = AllPairs::compute_all_live(&g);
-        let fib = Fib::from_base(&g, &base);
         let dense = DenseFib::from_base(&g, &base);
         let n = g.node_count();
         let hot = HotspotTraffic::new(&g, (n / 4).max(1), 4.0, seed);
         let flows = FlowSet::sampled(&hot, 48, seed);
         let ttl = generous_ttl(&g);
-        let (mut affected, mut reach) = (Vec::new(), Vec::new());
-        let mut walk = FlowScratch::new();
+        let mut affected = Vec::new();
+        let mut scratch = ReplayScratch::new();
         let singles = SingleLinkFailures::new(&g);
         for i in 0..singles.len() {
             let failed = singles.scenario(i);
@@ -138,7 +135,6 @@ proptest! {
                 let base_tree = base.towards(dst);
                 dense.affected_into(dst, &failed, &mut affected);
                 let live = SpTree::towards(&g, dst, &failed);
-                live.reach_words_into(&mut reach);
                 for flow in group {
                     let hit = bits::test(&affected, flow.src.index());
                     prop_assert_eq!(
@@ -147,19 +143,21 @@ proptest! {
                         "affected bit vs path_crosses: scenario {} dst {} src {}",
                         i, dst, flow.src
                     );
-                    let outcome = walk_flow_with(
-                        &g, &agent, &fib, flow.src, dst, &failed, &live, ttl, &mut walk, |_| {},
+                    let alone = FlowSet::all_pairs(&OnePair(n, flow.src, dst));
+                    let out = replay_scenario_bitparallel(
+                        &g, &agent, &dense, &base, &alone, &failed, ttl, &mut scratch,
                     );
+                    let clear = out.tally.evaluated == 0.0 && out.tally.disconnected == 0.0;
                     prop_assert_eq!(
-                        matches!(outcome, FlowWalk::Clear { .. }),
+                        clear,
                         !hit,
-                        "clear bit vs walker: scenario {} dst {} src {}",
+                        "clear class vs path_crosses: scenario {} dst {} src {}",
                         i, dst, flow.src
                     );
                     prop_assert_eq!(
-                        matches!(outcome, FlowWalk::Disconnected),
-                        hit && !bits::test(&reach, flow.src.index()),
-                        "disconnected class vs walker: scenario {} dst {} src {}",
+                        out.tally.disconnected > 0.0,
+                        hit && !live.reaches(flow.src),
+                        "disconnected class vs reaches: scenario {} dst {} src {}",
                         i, dst, flow.src
                     );
                 }
@@ -169,39 +167,47 @@ proptest! {
 
     /// Subtree demand aggregation reproduces per-path accumulation
     /// **exactly**: the bit-parallel dataplane's full link-load vector
-    /// — not just the peak — equals the batched per-flow dataplane's,
-    /// f64-for-f64, and the whole result equals the per-packet
-    /// reference (the demand grid at work: every replay sum is exact,
-    /// so regrouping per subtree cannot move a bit).
+    /// — not just the peak — equals the one built from per-packet
+    /// walk paths, f64-for-f64, and the whole result equals the
+    /// per-packet reference (the demand grid at work: every replay sum
+    /// is exact, so regrouping per subtree cannot move a bit). Runs on
+    /// the full hotspot matrix and on a sparse demand-weighted sample
+    /// of it.
     #[test]
     fn subtree_aggregated_loads_equal_per_path_accumulation(g in arb_graph(), seed in 0u64..1024) {
         let net = compile_net(&g);
         let agent = net.agent(&g);
         let base = AllPairs::compute_all_live(&g);
-        let fib = Fib::from_base(&g, &base);
         let dense = DenseFib::from_base(&g, &base);
         let n = g.node_count();
-        let flows = FlowSet::all_pairs(&HotspotTraffic::new(&g, (n / 4).max(1), 4.0, seed));
+        let hot = HotspotTraffic::new(&g, (n / 4).max(1), 4.0, seed);
         let ttl = generous_ttl(&g);
         let mut scratch = ReplayScratch::new();
-        let mut bp_scratch = ReplayScratch::new();
         let singles = SingleLinkFailures::new(&g);
-        for i in 0..singles.len() {
-            let failed = singles.scenario(i);
-            let batched =
-                replay_scenario(&g, &agent, &fib, &base, &flows, &failed, ttl, &mut scratch);
-            let bp = replay_scenario_bitparallel(
-                &g, &agent, &dense, &base, &flows, &failed, ttl, &mut bp_scratch,
-            );
-            prop_assert_eq!(&bp, &batched, "scenario {}", i);
-            prop_assert_eq!(
-                bp_scratch.link_loads(),
-                scratch.link_loads(),
-                "load vectors diverged in scenario {}",
-                i
-            );
-            let naive = replay_scenario_naive(&g, &agent, &base, &flows, &failed, ttl);
-            prop_assert_eq!(&bp, &naive, "scenario {} (naive)", i);
+        for flows in [FlowSet::all_pairs(&hot), FlowSet::sampled(&hot, 64, seed)] {
+            for i in 0..singles.len() {
+                let failed = singles.scenario(i);
+                let bp = replay_scenario_bitparallel(
+                    &g, &agent, &dense, &base, &flows, &failed, ttl, &mut scratch,
+                );
+                let mut walked = vec![0.0; g.link_count()];
+                for f in flows.flows() {
+                    let walk = walk_packet(&g, &agent, f.src, f.dst, &failed, ttl);
+                    if walk.result.is_delivered() {
+                        for d in walk.path.darts() {
+                            walked[d.link().index()] += f.demand;
+                        }
+                    }
+                }
+                prop_assert_eq!(
+                    scratch.link_loads(),
+                    &walked[..],
+                    "load vectors diverged in scenario {}",
+                    i
+                );
+                let naive = replay_scenario_naive(&g, &agent, &base, &flows, &failed, ttl);
+                prop_assert_eq!(&bp, &naive, "scenario {} (naive)", i);
+            }
         }
     }
 

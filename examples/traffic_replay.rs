@@ -1,7 +1,7 @@
 //! The traffic-workload subsystem in one tour: demand matrices
-//! (gravity / uniform / hot-spot), batched flow replay through the
-//! FIB fast path, and the demand-weighted resilience metrics — all on
-//! GÉANT.
+//! (gravity / uniform / hot-spot), bit-parallel flow replay over the
+//! staged dense FIB, and the demand-weighted resilience metrics — all
+//! on GÉANT.
 //!
 //! ```sh
 //! cargo run --release --example traffic_replay [threads]
@@ -89,7 +89,7 @@ fn main() {
     );
 
     // --- The throughput ladder: flows/s per dataplane ---------------
-    // All three produce the identical rows (the demand grid makes
+    // Both produce the identical rows (the demand grid makes
     // every replay sum exact); only the time per replayed flow
     // differs. Serial on purpose — this compares dataplanes, not
     // thread counts.
@@ -110,6 +110,5 @@ fn main() {
         singles.len()
     );
     ladder("bit-parallel", &mut || pr_bench::traffic::run(&graph, &net, &singles, &flows, 1));
-    ladder("batched", &mut || pr_bench::traffic::run_batched(&graph, &net, &singles, &flows, 1));
     ladder("naive", &mut || pr_bench::traffic::run_serial(&graph, &net, &singles, &flows));
 }

@@ -51,7 +51,7 @@
 //! | [`scenarios`] (`pr-scenarios`) | streaming failure families (single/multi/node/SRLG/exhaustive-k) + temporal traces + seeded impairment decorators |
 //! | [`sim`] (`pr-sim`) | deterministic discrete-event simulator, loss scenarios, timed tally sampling |
 //! | [`topologies`] (`pr-topologies`) | Abilene / GÉANT / Teleglobe + the Figure 1 fixture |
-//! | [`traffic`] (`pr-traffic`) | gravity/uniform/hot-spot matrices, flow sets, batched replay, timeline replay |
+//! | [`traffic`] (`pr-traffic`) | gravity/uniform/hot-spot matrices, flow sets, bit-parallel replay, timeline replay |
 //!
 //! The experiment harness (`pr-bench`) is binary-only and not
 //! re-exported; see `DESIGN.md` §4 for the experiment-to-binary map.
