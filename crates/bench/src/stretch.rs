@@ -169,7 +169,44 @@ pub fn run_with_stats(
     family: &dyn ScenarioFamily,
     threads: usize,
 ) -> (StretchSamples, SweepStats) {
-    let parts = sweep_parts(graph, pr, family, threads);
+    run_on_base(graph, pr, &SweepBase::new(graph), family, threads)
+}
+
+/// The graph-only inputs of a stretch sweep: the failure-free base
+/// trees and their per-destination child index. Neither depends on the
+/// failure family, so a caller sweeping one graph many times (the
+/// daemon twin answers every stretch query on its resident graph)
+/// builds this once and passes it to [`run_on_base`].
+#[derive(Debug)]
+pub struct SweepBase {
+    /// Failure-free shortest-path trees towards every destination.
+    pub trees: AllPairs,
+    /// Child index per destination tree: lets every work unit
+    /// enumerate its affected sources (the subtrees below failed tree
+    /// edges) in O(cone) instead of classifying all n nodes.
+    pub children: Vec<TreeChildren>,
+}
+
+impl SweepBase {
+    /// Builds the base trees and their child indexes for `graph`.
+    pub fn new(graph: &Graph) -> SweepBase {
+        let trees = AllPairs::compute_all_live(graph);
+        let children =
+            graph.nodes().map(|d| TreeChildren::build(graph, trees.towards(d))).collect();
+        SweepBase { trees, children }
+    }
+}
+
+/// [`run_with_stats`] on a prebuilt [`SweepBase`] of `graph`: the one
+/// engine entry point every stretch sweep goes through.
+pub fn run_on_base(
+    graph: &Graph,
+    pr: &PrNetwork,
+    base: &SweepBase,
+    family: &dyn ScenarioFamily,
+    threads: usize,
+) -> (StretchSamples, SweepStats) {
+    let parts = sweep_parts(graph, pr, base, family, threads);
     let mut out = StretchSamples::default();
     let mut stats = SweepStats::default();
     for (part, part_stats) in parts {
@@ -180,7 +217,7 @@ pub fn run_with_stats(
 }
 
 /// The engine-parallel sweep, returning one partial result per
-/// (scenario × destination) work unit in unit order. [`run_with_stats`]
+/// (scenario × destination) work unit in unit order. [`run_on_base`]
 /// folds the units into one panel; [`run_rows`] folds them into
 /// per-scenario aggregates for sharded checkpointing. Walks splice
 /// memoized delivered suffixes; the samples are bit-identical to
@@ -189,19 +226,14 @@ pub fn run_with_stats(
 fn sweep_parts(
     graph: &Graph,
     pr: &PrNetwork,
+    base: &SweepBase,
     family: &dyn ScenarioFamily,
     threads: usize,
 ) -> Vec<(StretchSamples, SweepStats)> {
-    let base = AllPairs::compute_all_live(graph);
-    // Child index per destination tree, built once: lets every unit
-    // enumerate its affected sources (the subtrees below failed tree
-    // edges) in O(cone) instead of classifying all n nodes.
-    let children: Vec<TreeChildren> =
-        graph.nodes().map(|d| TreeChildren::build(graph, base.towards(d))).collect();
     let pr_agent = pr.agent(graph);
     let ttl = generous_ttl(graph);
 
-    let sweep = ScenarioSweep::new(graph, family, &base, threads);
+    let sweep = ScenarioSweep::new(graph, family, &base.trees, threads);
     sweep.run_with(
         || StretchWorker {
             fcp: FcpAgent::cached_with_base(graph, sweep.base()),
@@ -234,7 +266,7 @@ fn sweep_parts(
             // failure and the unit contributes nothing.
             unit.base_tree.affected_cone(
                 graph,
-                &children[unit.dst.index()],
+                &base.children[unit.dst.index()],
                 unit.failed,
                 cone,
                 stack,
@@ -393,7 +425,7 @@ pub fn run_rows(
 ) -> Vec<ScenarioRow> {
     let n = graph.node_count().max(1);
     let xs = figure2_xs();
-    let parts = sweep_parts(graph, pr, family, threads);
+    let parts = sweep_parts(graph, pr, &SweepBase::new(graph), family, threads);
     let mut rows = Vec::with_capacity(family.len());
     let mut acc = StretchSamples::default();
     for (idx, (part, _stats)) in parts.into_iter().enumerate() {

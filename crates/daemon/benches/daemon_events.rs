@@ -8,13 +8,23 @@
 //! both FIBs). Warmup first proves the repaired trees bit-identical to
 //! the cold build on every probed failed set, so the two sides of the
 //! ratio are computing the same answer.
+//!
+//! **The wire gate** (also under `--test`): the same GÉANT twin served
+//! on loopback must answer a control round trip within 5 ms of what
+//! `Twin::handle` costs in process for the same request — the median
+//! of 32 event round trips, best of 20 rounds, against the same
+//! statistic in process. A reply that leaves in two segments stalls
+//! each round trip for the peer's delayed ACK, about 40 ms.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use pr_core::{DiscriminatorKind, PrMode, PrNetwork};
-use pr_daemon::{cold_recompile, DemandSpec, Request, Twin};
+use pr_daemon::{
+    cold_recompile, serve, wait_for_addr_file, Client, DaemonConfig, DemandSpec, Request, Response,
+    Twin,
+};
 use pr_graph::{Graph, LinkId, LinkSet};
 use pr_topologies::Isp;
 
@@ -24,6 +34,10 @@ const EVENT_LINKS: usize = 16;
 
 /// The gate's hard floor on cold-per-scenario / warm-per-event.
 const SPEEDUP_FLOOR: f64 = 5.0;
+
+/// The wire gate's ceiling on (median round trip) − (median in-process
+/// `Twin::handle`), in ms.
+const WIRE_CEILING_MS: f64 = 5.0;
 
 fn geant() -> (Graph, Twin) {
     let (graph, emb) = pr_bench::paper_topology(Isp::Geant);
@@ -124,8 +138,84 @@ fn daemon_event_gate() {
     );
 }
 
+/// Median of `xs` in ms (sorts in place).
+fn median_ms(xs: &mut [f64]) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
+/// The wire regression gate. Serves one GÉANT twin on loopback and
+/// keeps a second one in process; both see the same down + up events
+/// per probed link (`2 × EVENT_LINKS` = 32 requests a round, ending
+/// failure-free), interleaved, best (minimum) of 20 round medians per
+/// side. Panics when a round trip costs 5 ms or more over the
+/// in-process handling of the same request.
+fn daemon_wire_gate() {
+    let (graph, served) = geant();
+    let (_, mut local) = geant();
+    let requests: Vec<Request> = event_links(&graph)
+        .into_iter()
+        .flat_map(|link| [Request::LinkDown { link: link.clone() }, Request::LinkUp { link }])
+        .collect();
+
+    let dir = std::env::temp_dir().join(format!("pr-daemon-wire-gate-{}", std::process::id()));
+    let config = DaemonConfig {
+        port: 0,
+        metrics_port: 0,
+        addr_file: dir.join("daemon.addr"),
+        event_log: None,
+    };
+    let server = {
+        let config = config.clone();
+        std::thread::spawn(move || serve(served, &config).expect("serve"))
+    };
+    let addrs = wait_for_addr_file(&config.addr_file, Duration::from_secs(60)).expect("daemon up");
+    let mut client = Client::connect(&addrs.control).expect("connect");
+
+    let (mut wire_ms, mut local_ms) = (f64::INFINITY, f64::INFINITY);
+    let mut times = Vec::with_capacity(requests.len());
+    for _ in 0..20 {
+        times.clear();
+        for req in &requests {
+            let t = Instant::now();
+            let resp = client.request(req).expect("round trip");
+            times.push(t.elapsed().as_secs_f64() * 1e3);
+            assert!(matches!(resp, Response::Done { .. }), "{resp:?}");
+        }
+        wire_ms = wire_ms.min(median_ms(&mut times));
+        times.clear();
+        for req in &requests {
+            let t = Instant::now();
+            let resp = local.handle(req);
+            times.push(t.elapsed().as_secs_f64() * 1e3);
+            assert!(matches!(resp, Response::Done { .. }), "{resp:?}");
+        }
+        local_ms = local_ms.min(median_ms(&mut times));
+    }
+
+    let bye = client.request(&Request::Shutdown).expect("shutdown");
+    assert!(matches!(bye, Response::Bye), "{bye:?}");
+    server.join().expect("clean exit");
+    std::fs::remove_dir_all(&dir).ok();
+
+    let overhead = wire_ms - local_ms;
+    println!(
+        "gate: geant control round trip {wire_ms:.3}ms vs {local_ms:.3}ms in-process \
+         Twin::handle, wire overhead {overhead:.3}ms (ceiling {WIRE_CEILING_MS:.0}ms, \
+         median of {} round trips, best of 20)",
+        requests.len()
+    );
+    assert!(
+        overhead < WIRE_CEILING_MS,
+        "daemon wire gate: a control round trip must cost < {WIRE_CEILING_MS:.0}ms over \
+         Twin::handle on geant, got {overhead:.3}ms ({wire_ms:.3}ms round trip vs \
+         {local_ms:.3}ms in process)"
+    );
+}
+
 fn bench_daemon_events(c: &mut Criterion) {
     daemon_event_gate();
+    daemon_wire_gate();
 
     let (graph, mut twin) = geant();
     let names = event_links(&graph);

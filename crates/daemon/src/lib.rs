@@ -16,7 +16,8 @@
 //! for tree. `tests/equivalence.rs` enforces this at 1/2/4 worker
 //! threads; `benches/daemon_events.rs` gates the point of it all —
 //! incremental event-apply ≥ 5x faster than the cold recompile a
-//! batch invocation would pay.
+//! batch invocation would pay — and that a control round trip over
+//! loopback costs under 5 ms more than the in-process `Twin::handle`.
 //!
 //! Architecture and protocol grammar: `DESIGN.md` §16. The thin
 //! client lives in `pr-cli` (`pr daemon …`, `pr ctl …`).
@@ -35,6 +36,6 @@ pub use protocol::{
 };
 pub use server::{
     read_addr_file, request_via, scrape_metrics, serve, wait_for_addr_file, Client, DaemonConfig,
-    EventLog,
+    EventLog, CONTROL_IO_TIMEOUT, MAX_REQUEST_LINE,
 };
 pub use twin::{cold_recompile, ColdState, DemandSpec, Twin};

@@ -14,9 +14,17 @@
 //! replayed on the next start — a restarted daemon reaches the
 //! identical twin state, which the restart tests assert snapshot- and
 //! tree-exactly.
+//!
+//! Wire: every reply — a control line with its newline, or a whole
+//! HTTP response — leaves in one `write_all` on a `TCP_NODELAY`
+//! socket, so a round trip costs what the twin does, not a
+//! Nagle/delayed-ACK stall (~40 ms per reply when the newline went out
+//! as a second segment). Control connections are served one at a time,
+//! so each is bounded: [`CONTROL_IO_TIMEOUT`] of silence drops it, and
+//! a request line over [`MAX_REQUEST_LINE`] bytes answers an `Error`.
 
 use std::fs;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -25,6 +33,17 @@ use std::time::Duration;
 
 use crate::protocol::{self, DaemonAddrs, Request, Response};
 use crate::twin::Twin;
+
+/// How long an accepted control connection may stay silent (or leave
+/// a reply unread) before the server drops it and accepts the next.
+/// Control connections are served one at a time, so this bounds how
+/// long an idle client can hold the control loop.
+pub const CONTROL_IO_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Longest accepted control request line in bytes, newline excluded.
+/// A longer line answers an `Error` and is skipped; the connection
+/// survives it like any other bad line.
+pub const MAX_REQUEST_LINE: usize = 64 * 1024;
 
 /// Where the daemon should listen and persist.
 #[derive(Debug, Clone)]
@@ -183,45 +202,69 @@ fn serve_control_conn(
     twin: &Arc<Mutex<Twin>>,
     mut log: Option<&mut EventLog>,
 ) -> std::io::Result<bool> {
-    let reader = BufReader::new(stream.try_clone()?);
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(CONTROL_IO_TIMEOUT))?;
+    stream.set_write_timeout(Some(CONTROL_IO_TIMEOUT))?;
+    let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        if (&mut reader).take(MAX_REQUEST_LINE as u64 + 1).read_until(b'\n', &mut line)? == 0 {
+            return Ok(false);
         }
-        let mut quit = false;
-        let resp = match protocol::decode::<Request>(&line) {
-            Err(message) => Response::Error { message },
-            Ok(req) => {
-                let resp = twin.lock().expect("twin lock").handle(&req);
-                if req.mutates() && !resp.is_error() {
-                    if let Some(log) = log.as_deref_mut() {
-                        if let Err(message) = log.record(&req) {
-                            // An unrecordable event must not be
-                            // acknowledged: a restart would lose it.
-                            writeln!(writer, "{}", protocol::encode(&Response::Error { message }))?;
-                            continue;
-                        }
-                    }
+        let (resp, quit) = if line.len() > MAX_REQUEST_LINE && line.last() != Some(&b'\n') {
+            reader.skip_until(b'\n')?;
+            let message = format!("request line longer than {MAX_REQUEST_LINE} bytes");
+            (Response::Error { message }, false)
+        } else {
+            match std::str::from_utf8(&line) {
+                Ok(text) if text.trim().is_empty() => continue,
+                Ok(text) => answer(text.trim_end(), twin, log.as_deref_mut()),
+                Err(_) => {
+                    (Response::Error { message: "request line is not UTF-8".to_string() }, false)
                 }
-                quit = matches!(req, Request::Shutdown);
-                resp
             }
         };
-        writeln!(writer, "{}", protocol::encode(&resp))?;
+        send_line(&mut writer, &resp)?;
         if quit {
-            writer.flush()?;
             return Ok(true);
         }
     }
-    Ok(false)
+}
+
+/// Applies one request line and records it if it mutated the twin;
+/// the flag is `true` for `Shutdown`.
+fn answer(line: &str, twin: &Mutex<Twin>, log: Option<&mut EventLog>) -> (Response, bool) {
+    let req = match protocol::decode::<Request>(line) {
+        Ok(req) => req,
+        Err(message) => return (Response::Error { message }, false),
+    };
+    let resp = twin.lock().expect("twin lock").handle(&req);
+    if req.mutates() && !resp.is_error() {
+        if let Some(log) = log {
+            if let Err(message) = log.record(&req) {
+                // An unrecordable event must not be acknowledged: a
+                // restart would lose it.
+                return (Response::Error { message }, false);
+            }
+        }
+    }
+    (resp, matches!(req, Request::Shutdown))
+}
+
+/// Writes one reply line, newline included, in a single `write_all`.
+fn send_line(writer: &mut TcpStream, resp: &Response) -> std::io::Result<()> {
+    let mut line = protocol::encode(resp);
+    line.push('\n');
+    writer.write_all(line.as_bytes())
 }
 
 /// Serves one metrics connection: `GET /metrics` renders the page,
 /// anything else is 404/405. HTTP/1.0-level framing with
 /// `Connection: close` — exactly what a Prometheus scraper needs.
 fn serve_metrics_conn(stream: TcpStream, twin: &Arc<Mutex<Twin>>) -> std::io::Result<()> {
+    stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(Duration::from_secs(5)))?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut request_line = String::new();
@@ -245,18 +288,18 @@ fn serve_metrics_conn(stream: TcpStream, twin: &Arc<Mutex<Twin>>) -> std::io::Re
     }
 }
 
+/// Writes status line, headers and body in a single `write_all`.
 fn http_respond(
     writer: &mut TcpStream,
     status: &str,
     content_type: &str,
     body: &str,
 ) -> std::io::Result<()> {
-    write!(
-        writer,
+    let response = format!(
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
-    )?;
-    writer.flush()
+    );
+    writer.write_all(response.as_bytes())
 }
 
 /// Reads a published addr file.
@@ -297,6 +340,7 @@ impl Client {
             addr.parse().map_err(|e| format!("bad control address {addr:?}: {e}"))?;
         let stream = TcpStream::connect_timeout(&addr, Duration::from_secs(10))
             .map_err(|e| format!("connect {addr}: {e}"))?;
+        stream.set_nodelay(true).map_err(|e| format!("nodelay: {e}"))?;
         let reader = BufReader::new(stream.try_clone().map_err(|e| format!("clone: {e}"))?);
         Ok(Client { reader, writer: stream })
     }
@@ -330,11 +374,11 @@ pub fn scrape_metrics(addr: &str) -> Result<String, String> {
         addr.parse().map_err(|e| format!("bad metrics address {addr:?}: {e}"))?;
     let mut stream = TcpStream::connect_timeout(&sock, Duration::from_secs(10))
         .map_err(|e| format!("connect {addr}: {e}"))?;
-    write!(stream, "GET /metrics HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n")
-        .map_err(|e| format!("send: {e}"))?;
-    stream.flush().map_err(|e| format!("send: {e}"))?;
+    stream.set_nodelay(true).map_err(|e| format!("nodelay: {e}"))?;
+    let request = format!("GET /metrics HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n");
+    stream.write_all(request.as_bytes()).map_err(|e| format!("send: {e}"))?;
     let mut page = String::new();
-    std::io::Read::read_to_string(&mut stream, &mut page).map_err(|e| format!("receive: {e}"))?;
+    stream.read_to_string(&mut page).map_err(|e| format!("receive: {e}"))?;
     let (head, body) = page
         .split_once("\r\n\r\n")
         .ok_or_else(|| format!("malformed HTTP response from {addr}"))?;

@@ -2,27 +2,32 @@
 //!
 //! A [`Twin`] is everything a batch run hoists, kept warm across
 //! events: the graph, the compiled PR network, the failure-free base
-//! trees, the staged dense FIB, the resident demand flow set (plus
-//! a uniform-unit companion for the paper's coverage metric), and the
-//! reusable scratch arenas. Link events re-derive the live all-pairs
-//! view **incrementally** — [`pr_graph::SpTree::repair_from`] against
-//! the hoisted base trees, never a scratch rebuild — which is
-//! bit-for-bit identical to a cold `AllPairs::compute` by PR 4's
-//! repair contract (the base is computed over the empty failed set, a
-//! subset of every event state). Queries ride the same primitives the
-//! batch harness uses (`replay_scenario_bitparallel`,
-//! `pr_bench::stretch::run_with_stats`) with the same hoisted inputs,
-//! so every answer is bit-identical to a cold batch run on the same
-//! failed set and demand model — the equivalence suite enforces this
-//! at 1, 2 and 4 worker threads.
+//! trees with their per-destination child index (one
+//! [`SweepBase`], built once), the staged dense FIB, the resident
+//! demand flow set (plus a uniform-unit companion for the paper's
+//! coverage metric), and the reusable scratch arenas. Link events
+//! re-derive the live all-pairs view **incrementally** —
+//! [`pr_graph::SpTree::repair_from`] against the resident base trees,
+//! never a scratch rebuild — which is bit-for-bit identical to a cold
+//! `AllPairs::compute` by the repair contract (the base is computed
+//! over the empty failed set, a subset of every event state). Queries
+//! ride the same primitives the batch harness uses
+//! (`replay_scenario_bitparallel`, and `pr_bench::stretch::run_on_base`
+//! on the resident [`SweepBase`], the entry point `run_with_stats`
+//! delegates to), so every answer is bit-identical to a cold batch run
+//! on the same failed set and demand model — the equivalence suite
+//! enforces this at 1, 2 and 4 worker threads.
 //!
-//! Gauges are **lazy**: a link event only repairs trees and marks the
-//! gauges dirty; the uniform + demand replays that refresh them run on
-//! the next query, snapshot or `/metrics` scrape. This keeps
-//! event-apply latency at repair cost (the `daemon_events` bench gates
-//! it at ≥ 5x under a cold recompile).
+//! Replays are **lazy and cached per state**: a link event only
+//! repairs trees and drops the cached uniform and demand replays
+//! (`set-demand` drops only the demand one). The replays run on the
+//! next coverage or traffic query, snapshot or `/metrics` scrape, at
+//! most once per state; every reader after that shares the cached
+//! result, which is identical to a fresh replay because replays are
+//! deterministic. This keeps event-apply latency at repair cost (the
+//! `daemon_events` bench gates it at ≥ 5x under a cold recompile).
 
-use pr_bench::stretch::{self, Scheme};
+use pr_bench::stretch::{self, Scheme, SweepBase};
 use pr_core::{generous_ttl, DenseFib, PrAgent, PrHeader, PrNetwork};
 use pr_graph::{AllPairs, Graph, LinkId, LinkSet, NodeId, SpScratch, SpTree};
 use pr_traffic::{
@@ -143,7 +148,7 @@ pub struct Twin {
     net: PrNetwork,
     threads: usize,
     ttl: usize,
-    base: AllPairs,
+    sweep: SweepBase,
     dense: DenseFib,
     live: AllPairs,
     failed: LinkSet,
@@ -155,7 +160,10 @@ pub struct Twin {
     repair: pr_graph::RepairStats,
     memo: pr_core::MemoStats,
     counters: EventCounters,
-    gauges: Option<GaugeReport>,
+    /// The current state's replay of `uniform` (`None` until read).
+    uniform_traffic: Option<ScenarioTraffic>,
+    /// The current state's replay of `flows` (`None` until read).
+    demand_traffic: Option<ScenarioTraffic>,
 }
 
 /// Replays one flow set through the current failed set on the
@@ -177,9 +185,10 @@ fn replay(
 }
 
 impl Twin {
-    /// Compiles the resident state: base trees, the dense FIB, the demand
-    /// and uniform flow sets. This is the one-off cold cost the daemon
-    /// pays so every later event is incremental.
+    /// Compiles the resident state: base trees and their child index,
+    /// the dense FIB, the demand and uniform flow sets. This is the
+    /// one-off cold cost the daemon pays so every later event is
+    /// incremental.
     pub fn new(
         graph: Graph,
         net: PrNetwork,
@@ -188,11 +197,11 @@ impl Twin {
     ) -> Result<Twin, String> {
         let flows = demand.build(&graph)?;
         let uniform = FlowSet::all_pairs(&UniformTraffic::new(&graph));
-        let base = AllPairs::compute_all_live(&graph);
-        let dense = DenseFib::from_base(&graph, &base);
+        let sweep = SweepBase::new(&graph);
+        let dense = DenseFib::from_base(&graph, &sweep.trees);
         // The failure-free live view *is* the base view (repair_from
         // over the empty set is the identity) — clone, don't recompute.
-        let live = base.clone();
+        let live = sweep.trees.clone();
         let failed = LinkSet::empty(graph.link_count());
         let ttl = generous_ttl(&graph);
         Ok(Twin {
@@ -200,7 +209,7 @@ impl Twin {
             net,
             threads: threads.max(1),
             ttl,
-            base,
+            sweep,
             dense,
             live,
             failed,
@@ -212,7 +221,8 @@ impl Twin {
             repair: pr_graph::RepairStats::default(),
             memo: pr_core::MemoStats::default(),
             counters: EventCounters::default(),
-            gauges: None,
+            uniform_traffic: None,
+            demand_traffic: None,
         })
     }
 
@@ -283,12 +293,14 @@ impl Twin {
         format!("{}-{}", self.graph.node_name(a), self.graph.node_name(b))
     }
 
-    /// Re-derives the live all-pairs view from the hoisted base trees
-    /// by incremental cone repair — never a scratch rebuild.
+    /// Re-derives the live all-pairs view from the resident base trees
+    /// by incremental cone repair — never a scratch rebuild — and drops
+    /// both cached replays of the departing state.
     fn relabel(&mut self) {
-        self.live = self.base.repair_from(&self.graph, &self.failed, &mut self.sp);
+        self.live = self.sweep.trees.repair_from(&self.graph, &self.failed, &mut self.sp);
         self.repair.merge(&self.sp.take_stats());
-        self.gauges = None;
+        self.uniform_traffic = None;
+        self.demand_traffic = None;
     }
 
     fn link_down(&mut self, spec: &str) -> Response {
@@ -330,7 +342,8 @@ impl Twin {
         };
         self.demand = spec;
         self.flows = flows;
-        self.gauges = None;
+        // The failed set is unchanged, so the uniform replay stays valid.
+        self.demand_traffic = None;
         self.counters.events += 1;
         self.counters.demand_updates += 1;
         Response::Done {
@@ -343,17 +356,26 @@ impl Twin {
         }
     }
 
+    /// The current state's replay of the uniform-unit matrix, run at
+    /// most once per state.
+    fn uniform_traffic(&mut self) -> &ScenarioTraffic {
+        let Twin { graph, net, dense, sweep, uniform, failed, ttl, replay: scratch, .. } = self;
+        self.uniform_traffic.get_or_insert_with(|| {
+            replay(graph, net, dense, &sweep.trees, uniform, failed, *ttl, scratch)
+        })
+    }
+
+    /// The current state's replay of the resident demand flow set, run
+    /// at most once per state.
+    fn demand_traffic(&mut self) -> &ScenarioTraffic {
+        let Twin { graph, net, dense, sweep, flows, failed, ttl, replay: scratch, .. } = self;
+        self.demand_traffic.get_or_insert_with(|| {
+            replay(graph, net, dense, &sweep.trees, flows, failed, *ttl, scratch)
+        })
+    }
+
     fn query_traffic(&mut self) -> TrafficReport {
-        let traffic = replay(
-            &self.graph,
-            &self.net,
-            &self.dense,
-            &self.base,
-            &self.flows,
-            &self.failed,
-            self.ttl,
-            &mut self.replay,
-        );
+        let traffic = self.demand_traffic().clone();
         TrafficReport {
             failed_links: self.failed.len(),
             max_link_utilisation: traffic.max_link_utilisation(),
@@ -364,28 +386,19 @@ impl Twin {
     }
 
     fn query_coverage(&mut self) -> CoverageReport {
-        let traffic = replay(
-            &self.graph,
-            &self.net,
-            &self.dense,
-            &self.base,
-            &self.uniform,
-            &self.failed,
-            self.ttl,
-            &mut self.replay,
-        );
+        let tally = self.uniform_traffic().tally;
         CoverageReport {
             failed_links: self.failed.len(),
-            coverage: traffic.tally.weighted_coverage(),
-            demand_lost_fraction: traffic.tally.demand_lost_fraction(),
-            tally: traffic.tally,
+            coverage: tally.weighted_coverage(),
+            demand_lost_fraction: tally.demand_lost_fraction(),
+            tally,
         }
     }
 
     fn query_stretch(&mut self) -> StretchReport {
         let family = vec![self.failed.clone()];
         let (samples, stats) =
-            stretch::run_with_stats(&self.graph, &self.net, &family, self.threads);
+            stretch::run_on_base(&self.graph, &self.net, &self.sweep, &family, self.threads);
         self.repair.merge(&stats.repair);
         self.memo.merge(&stats.memo);
         let schemes = Scheme::ALL
@@ -411,41 +424,19 @@ impl Twin {
         }
     }
 
-    /// Current gauge values, refreshed by replaying the uniform and
-    /// resident demand sets if an event dirtied them.
+    /// Current gauge values, read from the cached uniform and demand
+    /// replays (run first if the current state has not replayed them).
     pub fn gauges(&mut self) -> GaugeReport {
-        if let Some(g) = self.gauges {
-            return g;
-        }
-        let uniform = replay(
-            &self.graph,
-            &self.net,
-            &self.dense,
-            &self.base,
-            &self.uniform,
-            &self.failed,
-            self.ttl,
-            &mut self.replay,
-        );
-        let traffic = replay(
-            &self.graph,
-            &self.net,
-            &self.dense,
-            &self.base,
-            &self.flows,
-            &self.failed,
-            self.ttl,
-            &mut self.replay,
-        );
-        let g = GaugeReport {
-            coverage: uniform.tally.weighted_coverage(),
+        let failed_links = self.failed.len();
+        let coverage = self.uniform_traffic().tally.weighted_coverage();
+        let traffic = self.demand_traffic();
+        GaugeReport {
+            coverage,
             weighted_coverage: traffic.tally.weighted_coverage(),
             demand_lost_fraction: traffic.tally.demand_lost_fraction(),
             max_link_utilisation: traffic.max_link_utilisation(),
-            failed_links: self.failed.len(),
-        };
-        self.gauges = Some(g);
-        g
+            failed_links,
+        }
     }
 
     /// Counters since start (repair/memo stats folded in).

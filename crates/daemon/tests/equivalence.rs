@@ -2,12 +2,17 @@
 //! warm answer is bit-identical to a cold batch run on the same failed
 //! set and demand model, and the incrementally repaired live trees
 //! equal a scratch `AllPairs::compute` — at 1, 2 and 4 worker threads,
-//! on a shipped topology and a synthetic one.
+//! on a shipped topology and a synthetic one. A stretch query moves the
+//! twin's repair and memo counters by exactly the batch sweep's stats,
+//! and answers read from the per-state replay cache equal uncached
+//! ones.
 
 mod common;
 
 use pr_core::PrNetwork;
-use pr_daemon::{cold_recompile, DemandSpec, QueryKind, Request, Response, Twin};
+use pr_daemon::{
+    cold_recompile, CounterReport, DemandSpec, GaugeReport, QueryKind, Request, Response, Twin,
+};
 use pr_graph::Graph;
 
 fn apply(twin: &mut Twin, req: &Request) {
@@ -78,9 +83,14 @@ fn assert_equivalent(
         other => panic!("expected a coverage report, got {other:?}"),
     }
 
-    // Stretch: warm answer == the batch stretch sweep on the scenario.
-    let (samples, _) = pr_bench::stretch::run_with_stats(graph, net, &family, threads);
+    // Stretch: warm answer == the batch stretch sweep on the scenario,
+    // and the query moves the twin's counters by exactly the batch
+    // sweep's stats (the resident base trees change no repair or memo
+    // work).
+    let (samples, stats) = pr_bench::stretch::run_with_stats(graph, net, &family, threads);
+    let before = twin.counters();
     let stretch = twin.handle(&Request::Query { what: QueryKind::Stretch });
+    assert_counter_deltas(&before, &twin.counters(), &stats, threads);
     match &stretch {
         Response::Stretch(r) => {
             assert_eq!(r.evaluated_pairs, samples.evaluated_pairs);
@@ -101,6 +111,43 @@ fn assert_equivalent(
     }
 
     vec![traffic, coverage, stretch]
+}
+
+/// Checks that the counters moved from `before` to `after` by exactly
+/// the batch sweep's repair and memo stats.
+fn assert_counter_deltas(
+    before: &CounterReport,
+    after: &CounterReport,
+    stats: &pr_bench::stretch::SweepStats,
+    threads: usize,
+) {
+    let delta = |name: &str, b: u64, a: u64, want: u64| {
+        assert_eq!(a - b, want, "{name} delta != batch sweep stats at {threads} threads");
+    };
+    delta("repairs", before.repairs, after.repairs, stats.repair.repairs);
+    delta("full_rebuilds", before.full_rebuilds, after.full_rebuilds, stats.repair.full_rebuilds);
+    delta(
+        "repair_cone_nodes",
+        before.repair_cone_nodes,
+        after.repair_cone_nodes,
+        stats.repair.cone_nodes,
+    );
+    delta("repair_slots", before.repair_slots, after.repair_slots, stats.repair.repaired_slots);
+    delta("memo_lookups", before.memo_lookups, after.memo_lookups, stats.memo.lookups);
+    delta("memo_hits", before.memo_hits, after.memo_hits, stats.memo.hits);
+    delta(
+        "memo_spliced_steps",
+        before.memo_spliced_steps,
+        after.memo_spliced_steps,
+        stats.memo.spliced_steps,
+    );
+    delta(
+        "memo_walked_steps",
+        before.memo_walked_steps,
+        after.memo_walked_steps,
+        stats.memo.walked_steps,
+    );
+    assert!(stats.repair.repairs > 0, "the probed scenario must exercise cone repair");
 }
 
 /// Full suite on one graph: equivalence at each thread count, plus
@@ -174,4 +221,78 @@ fn strict_event_semantics_reject_noop_transitions() {
         .is_error());
     // The rejected demand update left the resident spec in place.
     assert_eq!(twin.demand_spec().model, "gravity");
+}
+
+/// The answer a twin with an empty replay cache gives to `query` after
+/// `events`: a fresh twin, one query.
+fn uncached(graph: &Graph, net: &PrNetwork, events: &[Request], query: QueryKind) -> Response {
+    let mut twin = Twin::new(graph.clone(), net.clone(), DemandSpec::gravity(), 1).expect("twin");
+    for req in events {
+        apply(&mut twin, req);
+    }
+    twin.handle(&Request::Query { what: query })
+}
+
+/// Checks that the gauges agree with the coverage and traffic answers
+/// of the same state.
+fn assert_gauges_match(gauges: &GaugeReport, coverage: &Response, traffic: &Response) {
+    let (Response::Coverage(c), Response::Traffic(t)) = (coverage, traffic) else {
+        panic!("expected coverage and traffic reports, got {coverage:?} / {traffic:?}");
+    };
+    assert_eq!(gauges.coverage, c.coverage);
+    assert_eq!(gauges.weighted_coverage, t.traffic.tally.weighted_coverage());
+    assert_eq!(gauges.demand_lost_fraction, t.traffic.tally.demand_lost_fraction());
+    assert_eq!(gauges.max_link_utilisation, t.max_link_utilisation);
+    assert_eq!(gauges.failed_links, c.failed_links);
+    assert_eq!(gauges.failed_links, t.failed_links);
+}
+
+#[test]
+fn cached_replays_answer_like_uncached_ones() {
+    let graph = common::abilene();
+    let net = common::network(&graph);
+    let mut events = vec![down(&graph, 0), down(&graph, 3)];
+    let mut twin = Twin::new(graph.clone(), net.clone(), DemandSpec::gravity(), 1).expect("twin");
+    for req in &events {
+        apply(&mut twin, req);
+    }
+    let coverage = uncached(&graph, &net, &events, QueryKind::Coverage);
+    let traffic = uncached(&graph, &net, &events, QueryKind::Traffic);
+
+    // coverage → scrape → coverage → traffic on one state: the scrape
+    // and the second coverage read the cached uniform replay, the
+    // traffic query the demand replay the scrape cached.
+    assert_eq!(twin.handle(&Request::Query { what: QueryKind::Coverage }), coverage);
+    let page = pr_daemon::metrics::render(&mut twin);
+    assert!(page.contains("pr_failed_links 2\n"), "{page}");
+    let gauges = twin.gauges();
+    assert_eq!(twin.handle(&Request::Query { what: QueryKind::Coverage }), coverage);
+    assert_eq!(twin.handle(&Request::Query { what: QueryKind::Traffic }), traffic);
+    assert_gauges_match(&gauges, &coverage, &traffic);
+
+    // set-demand drops only the demand replay: coverage stays, traffic
+    // and the demand gauges follow the new matrix.
+    let demand = Request::SetDemand {
+        model: "hotspot".to_string(),
+        flows: Some(40),
+        hotspots: Some(2),
+        boost: None,
+        seed: Some(7),
+    };
+    apply(&mut twin, &demand);
+    events.push(demand);
+    let traffic = uncached(&graph, &net, &events, QueryKind::Traffic);
+    assert_eq!(twin.handle(&Request::Query { what: QueryKind::Traffic }), traffic);
+    assert_eq!(twin.handle(&Request::Query { what: QueryKind::Coverage }), coverage);
+    assert_gauges_match(&twin.gauges(), &coverage, &traffic);
+
+    // A link event drops both.
+    let event = up(&graph, 0);
+    apply(&mut twin, &event);
+    events.push(event);
+    let coverage = uncached(&graph, &net, &events, QueryKind::Coverage);
+    let traffic = uncached(&graph, &net, &events, QueryKind::Traffic);
+    assert_gauges_match(&twin.gauges(), &coverage, &traffic);
+    assert_eq!(twin.handle(&Request::Query { what: QueryKind::Coverage }), coverage);
+    assert_eq!(twin.handle(&Request::Query { what: QueryKind::Traffic }), traffic);
 }

@@ -1,16 +1,19 @@
 //! Server-level behaviour: ephemeral ports + addr-file discovery, the
-//! Prometheus text exposition, protocol error paths, and clean
-//! shutdown.
+//! Prometheus text exposition, protocol error paths, clean shutdown,
+//! stall-free round trips, and the idle and line-length bounds on
+//! control connections.
 
 mod common;
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::path::PathBuf;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use pr_daemon::{
-    scrape_metrics, serve, wait_for_addr_file, Client, DaemonConfig, DemandSpec, QueryKind,
-    Request, Response,
+    scrape_metrics, serve, wait_for_addr_file, Client, DaemonAddrs, DaemonConfig, DemandSpec,
+    QueryKind, Request, Response, CONTROL_IO_TIMEOUT, MAX_REQUEST_LINE,
 };
 
 /// Parses a metrics page into `(name, value)` samples — the
@@ -156,4 +159,105 @@ fn fixed_port_conflict_fails_loudly() {
     .unwrap_err();
     assert!(err.contains(&port.to_string()), "error names the port: {err}");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A volatile daemon serving an Abilene twin on ephemeral ports.
+struct Served {
+    addrs: DaemonAddrs,
+    handle: JoinHandle<()>,
+    dir: PathBuf,
+}
+
+fn serve_abilene(tag: &str) -> Served {
+    let graph = common::abilene();
+    let dir = common::scratch_dir(tag);
+    let addr_file = dir.join("daemon.addr");
+    let twin = common::twin(&graph, DemandSpec::gravity(), 1);
+    let config = DaemonConfig { port: 0, metrics_port: 0, addr_file, event_log: None };
+    let handle = {
+        let config = config.clone();
+        std::thread::spawn(move || serve(twin, &config).expect("serve"))
+    };
+    let addrs = wait_for_addr_file(&config.addr_file, Duration::from_secs(30)).expect("daemon up");
+    Served { addrs, handle, dir }
+}
+
+impl Served {
+    fn shutdown(self) {
+        let resp = Client::connect(&self.addrs.control)
+            .expect("reconnect")
+            .request(&Request::Shutdown)
+            .expect("shutdown");
+        assert!(matches!(resp, Response::Bye), "{resp:?}");
+        self.handle.join().expect("clean exit");
+        std::fs::remove_dir_all(&self.dir).ok();
+    }
+}
+
+#[test]
+fn event_round_trips_do_not_stall_on_the_wire() {
+    let served = serve_abilene("round-trips");
+    let link = common::link_name(&common::abilene(), 5);
+    let mut client = Client::connect(&served.addrs.control).expect("connect");
+    // 200 round trips: well under 2 s when each reply leaves in one
+    // segment, at least 8 s if Nagle holds every reply's tail back for
+    // the client's ~40 ms delayed ACK.
+    let t = Instant::now();
+    for _ in 0..100 {
+        for req in
+            [Request::LinkDown { link: link.clone() }, Request::LinkUp { link: link.clone() }]
+        {
+            let resp = client.request(&req).expect("event");
+            assert!(matches!(resp, Response::Done { .. }), "{resp:?}");
+        }
+    }
+    let elapsed = t.elapsed();
+    assert!(elapsed < Duration::from_secs(2), "200 event round trips took {elapsed:?}");
+    drop(client);
+    served.shutdown();
+}
+
+#[test]
+fn idle_control_client_is_dropped_after_the_timeout() {
+    let served = serve_abilene("idle-client");
+    // Connects first and sends nothing: the serial control loop serves
+    // it until the read timeout drops it.
+    let mut idle = TcpStream::connect(&served.addrs.control).expect("idle connect");
+    let t = Instant::now();
+    let resp = Client::connect(&served.addrs.control)
+        .expect("connect")
+        .request(&Request::Snapshot)
+        .expect("snapshot answers once the idle client is dropped");
+    let waited = t.elapsed();
+    assert!(matches!(resp, Response::State(_)), "{resp:?}");
+    assert!(waited < CONTROL_IO_TIMEOUT * 3, "snapshot waited {waited:?}");
+    // The server closed the idle connection.
+    idle.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
+    let mut rest = Vec::new();
+    assert_eq!(idle.read_to_end(&mut rest).expect("orderly close"), 0);
+    served.shutdown();
+}
+
+#[test]
+fn oversized_request_line_answers_an_error_and_the_connection_survives() {
+    let served = serve_abilene("line-cap");
+    let stream = TcpStream::connect(&served.addrs.control).expect("raw connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = stream;
+    // A request padded to exactly the cap is accepted; one byte more
+    // answers an Error, and the next line is served normally.
+    let snapshot = "\"Snapshot\"";
+    let padded = |len: usize| format!("{snapshot}{}\n", " ".repeat(len - snapshot.len()));
+    let (at_cap, over_cap) = (padded(MAX_REQUEST_LINE), padded(MAX_REQUEST_LINE + 1));
+    let mut line = String::new();
+    for (request, expect) in [(&at_cap, "State"), (&over_cap, "Error"), (&at_cap, "State")] {
+        writer.write_all(request.as_bytes()).expect("send");
+        line.clear();
+        reader.read_line(&mut line).expect("reply");
+        assert!(line.contains(expect), "expected {expect}: {line}");
+    }
+    assert!(line.ends_with('\n'));
+    drop(reader);
+    drop(writer);
+    served.shutdown();
 }
